@@ -21,12 +21,13 @@ import json
 import os
 import sys
 
-from . import isotropic, puzzle, typea, verify
+from . import __version__, isotropic, puzzle, ring, typea, verify
 from .combinat import (grassmann_permutation, jd_string, partition,
                        rect_dual, to_01_string)
 from .qpoly import ContractViolation
+from .ring import A, LG, OG, Space
 
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = __version__
 
 
 class UsageError(ValueError):
@@ -85,69 +86,64 @@ def _cache_store(path: str | None, key: str, coeffs):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _element_for_space(args):
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    if args.space == "A":
-        if args.m is None or args.n is None:
-            raise UsageError("space A needs --m and --n")
-        return typea.quantum_product_a(lam, mu, args.m, args.n), "s"
-    if args.n is None:
-        raise UsageError(f"space {args.space} needs --n")
-    if args.space == "LG":
-        return isotropic.quantum_product_lg(lam, mu, args.n), "s"
-    if args.space == "OG":
-        return isotropic.quantum_product_og(lam, mu, args.n), "t"
-    raise ValueError(f"unknown space {args.space!r}")
+def _space(args) -> Space:
+    """The space a command works on, built once from the command line."""
+    kind = getattr(args, "space", A)
+    if args.n is None or (args.m is None) != (kind != A):
+        wanted = "--m and --n" if kind == A else "--n and no --m"
+        raise UsageError(f"space {kind} needs {wanted}")
+    return Space.of(kind, args.m, args.n)
 
 
-def _cmd_qprod(args) -> str:
+_PRODUCTS = {
+    A: lambda s, *x: typea.quantum_product_a(*x, s.m, s.n),
+    LG: lambda s, *x: isotropic.quantum_product_lg(*x, s.n),
+    OG: lambda s, *x: isotropic.quantum_product_og(*x, s.n),
+}
+
+
+def _cmd_qprod(args, space: Space) -> str:
+    lam, mu = parse_partition(args.lam), parse_partition(args.mu)
     query = {"cmd": "qprod", "space": args.space, "m": args.m, "n": args.n,
-             "lambda": list(parse_partition(args.lam)),
-             "mu": list(parse_partition(args.mu))}
+             "lambda": list(lam), "mu": list(mu)}
     cache_path = args.cache or os.environ.get("QSCHUBERT_CACHE")
     key = _cache_key(query)
     coeffs = _cache_lookup(cache_path, key)
-    symbol = "t" if args.space == "OG" else "s"
     if coeffs is None:
-        element, symbol = _element_for_space(args)
-        coeffs = element.coeffs
+        coeffs = _PRODUCTS[space.kind](space, lam, mu).coeffs
         _cache_store(cache_path, key, coeffs)
     if args.format == "json":
         return _result_json(query, coeffs)
-    if args.space == "A":
-        element = typea.QHElement(args.m, args.n, coeffs)
-    else:
-        element = isotropic.IsoQHElement(args.space, args.n, coeffs)
-    return element.text(symbol)
+    return ring.Element(space, coeffs).text()
 
 
-def _cmd_gw(args) -> str:
+def _gw_by_duality(space: Space, lam, mu, nu, d: int) -> int:
+    report = isotropic.duality_check(lam, mu, nu, d, space.n)
+    if not report.ok:
+        raise ContractViolation("; ".join(report.failures))
+    return report.data["og"]
+
+
+# The route behind every accepted (space, --method) pair.
+_GW_ROUTES = {
+    (A, "pieri"): lambda s, *x: typea.gw_a(*x, s.m, s.n),
+    (A, "puzzle"): lambda s, *x: typea.gw_a_puzzle(*x, s.m, s.n),
+    (LG, "qtilde"): lambda s, *x: isotropic.gw_lg(*x, s.n),
+    (LG, "pieri"): lambda s, *x: ring.gw(s, *x, ring.giambelli_fold),
+    (OG, "qtilde"): lambda s, *x: isotropic.gw_og(*x, s.n),
+    (OG, "pieri"): lambda s, *x: ring.gw(s, *x, ring.giambelli_fold),
+    (OG, "duality"): _gw_by_duality,
+}
+_GW_DEFAULTS = {A: "pieri", LG: "qtilde", OG: "qtilde"}
+
+
+def _cmd_gw(args, space: Space) -> str:
     lam, mu, nu = (parse_partition(x) for x in (args.lam, args.mu, args.nu))
-    method = args.method
-    if args.space == "A":
-        if args.m is None or args.n is None:
-            raise UsageError("space A needs --m and --n")
-        if method == "puzzle":
-            value = typea.gw_a_puzzle(lam, mu, nu, args.d, args.m, args.n)
-        else:
-            value = typea.gw_a(lam, mu, nu, args.d, args.m, args.n)
-    elif args.space == "LG":
-        if args.n is None:
-            raise UsageError("space LG needs --n")
-        value = isotropic.gw_lg(lam, mu, nu, args.d, args.n)
-    elif args.space == "OG":
-        if args.n is None:
-            raise UsageError("space OG needs --n")
-        if method == "duality":
-            report = isotropic.duality_check(lam, mu, nu, args.d, args.n)
-            value = report.data["og"]
-            if not report.ok:
-                raise ContractViolation("; ".join(report.failures))
-        else:
-            value = isotropic.gw_og(lam, mu, nu, args.d, args.n)
-    else:
-        raise ValueError(f"unknown space {args.space!r}")
+    method = args.method or _GW_DEFAULTS[space.kind]
+    route = _GW_ROUTES.get((space.kind, method))
+    if route is None:
+        raise UsageError(f"--method {method} is not available on space {space.kind}")
+    value = route(space, lam, mu, nu, args.d)
     if args.format == "json":
         query = {"cmd": "gw", "space": args.space, "m": args.m, "n": args.n,
                  "lambda": list(lam), "mu": list(mu), "nu": list(nu), "d": args.d}
@@ -155,14 +151,14 @@ def _cmd_gw(args) -> str:
     return str(value)
 
 
-def _cmd_lr(args) -> str:
+def _cmd_lr(args, space: Space) -> str:
     lam, mu, nu = (parse_partition(x) for x in (args.lam, args.mu, args.nu))
     if args.method == "puzzle":
-        strings = [to_01_string(x, args.m, args.n) for x in (lam, mu, rect_dual(nu, args.m, args.n))]
+        strings = [to_01_string(x, space.m, space.n)
+                   for x in (lam, mu, rect_dual(nu, space.m, space.n))]
         value = puzzle.count_puzzles_1step(*strings)
     else:
-        product = typea.quantum_product_a(lam, mu, args.m, args.n)
-        value = product.coefficient(nu, 0)
+        value = _PRODUCTS[space.kind](space, lam, mu).coefficient(nu, 0)
     if args.format == "json":
         query = {"cmd": "lr", "m": args.m, "n": args.n, "lambda": list(lam),
                  "mu": list(mu), "nu": list(nu)}
@@ -218,6 +214,9 @@ def _cmd_verify(args) -> tuple[int, str]:
         return 0, f"PASS ({report.checked} checks)"
     first = report.failures[0] if report.failures else "unknown"
     return 1, f"FAIL ({report.checked} checks) first: {first}"
+
+
+_SPACE_COMMANDS = {"qprod": _cmd_qprod, "gw": _cmd_gw, "lr": _cmd_lr}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,12 +280,8 @@ def run(argv) -> tuple[int, str]:
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
-        if args.command == "qprod":
-            return 0, _cmd_qprod(args)
-        if args.command == "gw":
-            return 0, _cmd_gw(args)
-        if args.command == "lr":
-            return 0, _cmd_lr(args)
+        if args.command in _SPACE_COMMANDS:
+            return 0, _SPACE_COMMANDS[args.command](args, _space(args))
         if args.command == "puzzle":
             return 0, _cmd_puzzle(args)
         if args.command == "string":

@@ -28,9 +28,16 @@ def partition(parts) -> Partition:
         raise ValueError(f"negative part in {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise ValueError(f"parts not weakly decreasing: {p}")
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
+    return trim(p)
+
+
+def trim(parts: tuple[int, ...]) -> Partition:
+    """Strip the trailing zeros of a weakly decreasing tuple of nonnegative
+    parts; the engine's own partitions need no further checks."""
+    end = len(parts)
+    while end and not parts[end - 1]:
+        end -= 1
+    return parts[:end]
 
 
 def weight(lam: Partition) -> int:
@@ -291,11 +298,11 @@ def partitions_with_parts_at_most(w: int, maxpart: int) -> list[Partition]:
 
 def horizontal_strip_additions(lam: Partition, p: int, max_part: int,
                                max_rows: int | None = None):
-    """Partitions mu obtained from lam by adding p boxes, no two per column.
+    """Partitions mu obtained from a canonical partition lam by adding p
+    boxes, no two per column.
 
     ``max_part`` bounds mu_1; ``max_rows`` bounds the number of rows.
     """
-    lam = partition(lam)
     rows = len(lam) + 1
     if max_rows is not None:
         rows = min(rows, max_rows)
@@ -303,7 +310,7 @@ def horizontal_strip_additions(lam: Partition, p: int, max_part: int,
     def rec(i, acc, remaining):
         if i == rows:
             if remaining == 0:
-                out.append(partition(acc))
+                out.append(trim(acc))
             return
         low = lam[i] if i < len(lam) else 0
         high = max_part if i == 0 else lam[i - 1]
@@ -315,13 +322,13 @@ def horizontal_strip_additions(lam: Partition, p: int, max_part: int,
 
 
 def horizontal_strip_removals(lam: Partition, p: int):
-    """Partitions nu obtained from lam by removing p boxes, no two per column."""
-    lam = partition(lam)
+    """Partitions nu obtained from a canonical partition lam by removing p
+    boxes, no two per column."""
     out = []
     def rec(i, acc, remaining):
         if i == len(lam):
             if remaining == 0:
-                out.append(partition(acc))
+                out.append(trim(acc))
             return
         low = lam[i + 1] if i + 1 < len(lam) else 0
         low = max(low, lam[i] - remaining)

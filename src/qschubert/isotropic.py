@@ -15,101 +15,38 @@ of :mod:`qschubert.qpoly`:
 Each ring also carries a quantum Pieri rule and a Pfaffian Giambelli
 expansion; products can be recomputed by folding Giambelli monomials
 through the Pieri rule, and the two routes are required to agree.
+
+This module holds what is particular to LG and OG: the two quantum Pieri
+rules, the two-row Giambelli formulas and the Pfaffian expansion over
+them, the e-basis route, duality, line numbers and presentations.  The
+element class, the fold, the Giambelli-fold product and the invariant
+are shared with G(m, N) in :mod:`qschubert.ring`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from . import ring
 from .combinat import (Partition, hat_map, horizontal_strip_additions,
-                       horizontal_strip_removals, is_strict, partition,
-                       skew_component_stats, strict_dual)
+                       horizontal_strip_removals, is_strict,
+                       skew_component_stats)
 from .qpoly import ContractViolation, ptilde_structure, qtilde_structure
+from .ring import LG, OG, IsoQHElement, Space, giambelli_fold
 from .typea import Report
-
-LG = "LG"
-OG = "OG"
 
 
 def q_degree(flavor: str, n: int) -> int:
-    if flavor == LG:
-        return n + 1
-    if flavor == OG:
-        return 2 * n
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
-class IsoQHElement:
-    """Integer combination of q^d times Schubert classes on LG or OG."""
-
-    __slots__ = ("flavor", "n", "coeffs")
-
-    def __init__(self, flavor: str, n: int, coeffs=None):
-        if flavor not in (LG, OG):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        self.flavor = flavor
-        self.n = n
-        clean: dict[tuple[Partition, int], int] = {}
-        for (nu, d), c in (coeffs or {}).items():
-            if c == 0:
-                continue
-            nu = partition(nu)
-            if not is_strict(nu) or (nu and nu[0] > n):
-                raise ValueError(f"{nu} is not a strict partition bounded by {n}")
-            if d < 0:
-                raise ValueError("negative q exponent")
-            clean[(nu, d)] = clean.get((nu, d), 0) + c
-        self.coeffs = {k: c for k, c in clean.items() if c != 0}
-
-    def coefficient(self, nu, d: int = 0) -> int:
-        return self.coeffs.get((partition(nu), d), 0)
-
-    def terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][1], tuple(-x for x in kv[0][0])))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IsoQHElement)
-                and (self.flavor, self.n) == (other.flavor, other.n)
-                and self.coeffs == other.coeffs)
-
-    def text(self, symbol: str | None = None) -> str:
-        symbol = symbol or ("t" if self.flavor == OG else "s")
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (nu, d), c in self.terms():
-            bits = []
-            if c != 1:
-                bits.append(str(c))
-            if d == 1:
-                bits.append("q")
-            elif d > 1:
-                bits.append(f"q^{d}")
-            bits.append(f"{symbol}[{','.join(str(x) for x in nu)}]")
-            parts.append("*".join(bits))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        space = f"LG({self.n},{2 * self.n})" if self.flavor == LG else f"OG({self.n + 1},{2 * self.n + 2})"
-        return f"IsoQHElement({space}, {self.text()})"
-
-
-def _check_strict(lam, n: int) -> Partition:
-    lam = partition(lam)
-    if not is_strict(lam) or (lam and lam[0] > n):
-        raise ValueError(f"{lam} is not a strict partition bounded by {n}")
-    return lam
+    return Space.of(flavor, None, n).q_degree
 
 
 # ---------------------------------------------------------------------------
-# Lagrangian Grassmannian
+# quantum Pieri and Pfaffian Giambelli rules
 
 
 @lru_cache(maxsize=None)
-def _pieri_lg(lam: Partition, p: int, n: int):
+def _pieri_lg(space: Space, lam: Partition, p: int):
+    n = space.n
     terms: dict[tuple[Partition, int], int] = {}
     for mu in horizontal_strip_additions(lam, p, max_part=n):
         if is_strict(mu):
@@ -123,6 +60,19 @@ def _pieri_lg(lam: Partition, p: int, n: int):
     return terms
 
 
+@lru_cache(maxsize=None)
+def _pieri_og(space: Space, lam: Partition, p: int):
+    n = space.n
+    terms: dict[tuple[Partition, int], int] = {}
+    for mu in horizontal_strip_additions(lam, p, max_part=n):
+        comps, _ = skew_component_stats(lam, mu)
+        if is_strict(mu):
+            terms[(mu, 0)] = 1 << (comps - 1)
+        elif len(mu) >= 2 and mu[0] == n and mu[1] == n and is_strict(mu[2:]):
+            terms[(mu[2:], 1)] = 1 << (comps - 1)
+    return terms
+
+
 def quantum_pieri_lg(lam, p: int, n: int) -> IsoQHElement:
     """Quantum product with the special class s[p] on LG(n, 2n).
 
@@ -130,14 +80,83 @@ def quantum_pieri_lg(lam, p: int, n: int) -> IsoQHElement:
     multiplicity 2^(components of the strip off the first column); the
     q-terms remove n+1-p boxes with multiplicity 2^(components - 1).
     """
-    lam = _check_strict(lam, n)
-    if not 1 <= p <= n:
-        raise ValueError(f"p={p} out of range 1..{n}")
-    return IsoQHElement(LG, n, _pieri_lg(lam, p, n))
+    return ring.quantum_pieri(Space.of(LG, None, n), lam, p)
+
+
+def quantum_pieri_og(lam, p: int, n: int) -> IsoQHElement:
+    """Quantum product with the special class t[p] on OG(n+1, 2n+2).
+
+    Both sums add p boxes, no two per column, with multiplicity
+    2^(components - 1); strict results are classical, results of the
+    shape (n, n, rest) lose that leading pair and pick up q.
+    """
+    return ring.quantum_pieri(Space.of(OG, None, n), lam, p)
 
 
 @lru_cache(maxsize=None)
-def _product_lg(lam: Partition, mu: Partition, n: int):
+def _two_row_terms(space: Space, i: int, j: int):
+    """Quantum Giambelli for the two-row index (i, j), i >= j, as
+    {(q power, special factors): coeff}:
+
+        LG: s[i,j] = s[i]s[j] + 2 sum_{k=1}^{j} (-1)^k s[i+k]s[j-k]
+                     + (-1)^(n+1-i) q s[i+j-n-1],
+        OG: t[i,j] = t[i]t[j] + 2 sum_{k=1}^{j-1} (-1)^k t[i+k]t[j-k]
+                     + (-1)^j t[i+j],
+
+    where classes with an index above n vanish, and so does the q-term
+    when i + j <= n.
+    """
+    n = space.n
+    if j == 0:
+        return {(0, (i,) if i else ()): 1}
+    terms = {(0, (i, j)): 1}
+    for k in range(1, min(j, n - i) + 1):
+        factors = (i + k, j - k) if k < j else (i + j,)
+        terms[(0, factors)] = (1 if k == j and space.kind == OG else 2) * (-1) ** k
+    if space.kind == LG and i + j > n:
+        e = i + j - n - 1
+        terms[(1, (e,) if e else ())] = (-1) ** (n + 1 - i)
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _pfaffian_terms(space: Space, lam: Partition):
+    """A class as signed q-power monomials in special classes, by Laplace
+    expansion of its Pfaffian along pairs containing the last entry."""
+    if len(lam) <= 1:
+        return {(0, lam): 1}
+    if len(lam) == 2:
+        return _two_row_terms(space, *lam)
+    parts = lam if len(lam) % 2 == 0 else lam + (0,)
+    r = len(parts)
+    out: dict[tuple[int, tuple[int, ...]], int] = {}
+    for idx in range(r - 1):
+        sign = (-1) ** idx
+        rest = parts[:idx] + parts[idx + 1:r - 1]
+        for (d1, f1), c1 in _two_row_terms(space, parts[idx], parts[r - 1]).items():
+            for (d2, f2), c2 in _pfaffian_terms(space, rest).items():
+                key = (d1 + d2, tuple(sorted(f1 + f2, reverse=True)))
+                out[key] = out.get(key, 0) + sign * c1 * c2
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def quantum_product_lg_pfaffian(lam, mu, n: int) -> IsoQHElement:
+    """LG product by folding the Pfaffian Giambelli of ``mu`` into ``lam``."""
+    return ring.folded_product(Space.of(LG, None, n), lam, mu)
+
+
+def quantum_product_og_pfaffian(lam, mu, n: int) -> IsoQHElement:
+    """OG product by folding the Pfaffian Giambelli of ``mu`` into ``lam``."""
+    return ring.folded_product(Space.of(OG, None, n), lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# the e-basis route
+
+
+@lru_cache(maxsize=None)
+def _product_lg(space: Space, lam: Partition, mu: Partition):
+    n = space.n
     out: dict[tuple[Partition, int], int] = {}
     for key, c in qtilde_structure(lam, mu, n + 1).items():
         d = 0
@@ -153,151 +172,9 @@ def _product_lg(lam: Partition, mu: Partition, n: int):
     return out
 
 
-def quantum_product_lg(lam, mu, n: int, cross_check: bool = False) -> IsoQHElement:
-    """Quantum product on LG(n, 2n) via Pfaffian-polynomial constants.
-
-    With ``cross_check`` the product is recomputed by folding the quantum
-    Giambelli expansion of ``mu`` through the Pieri rule; disagreement
-    raises :class:`ContractViolation`.
-    """
-    lam = _check_strict(lam, n)
-    mu = _check_strict(mu, n)
-    result = IsoQHElement(LG, n, _product_lg(lam, mu, n))
-    if cross_check:
-        other = quantum_product_lg_pfaffian(lam, mu, n)
-        if result != other:
-            raise ContractViolation(
-                f"LG product routes disagree for {lam} * {mu} at n={n}: "
-                f"{result.text()} vs {other.text()}")
-    return result
-
-
 @lru_cache(maxsize=None)
-def _lg_two_row_terms(i: int, j: int, n: int):
-    """Quantum Giambelli for a two-row class, as {(q power, factors): coeff}."""
-    if j == 0:
-        return {(0, (i,) if i else ()): 1}
-    terms: dict[tuple[int, tuple[int, ...]], int] = {(0, (i, j)): 1}
-    for k in range(1, n - i + 1):
-        lo = j - k
-        if lo < 0:
-            break
-        factors = (i + k,) if lo == 0 else (i + k, lo)
-        key = (0, factors)
-        terms[key] = terms.get(key, 0) + 2 * (-1) ** k
-    e = i + j - n - 1
-    if e >= 0:
-        key = (1, (e,) if e else ())
-        terms[key] = terms.get(key, 0) + (-1) ** (n + 1 - i)
-    return {k: c for k, c in terms.items() if c != 0}
-
-
-@lru_cache(maxsize=None)
-def _lg_giambelli_terms(lam: Partition, n: int):
-    """Expansion of a class as signed q-power monomials in special classes."""
-    if len(lam) <= 1:
-        return {(0, lam): 1}
-    if len(lam) == 2:
-        return _lg_two_row_terms(lam[0], lam[1], n)
-    parts = lam if len(lam) % 2 == 0 else lam + (0,)
-    r = len(parts)
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    for idx in range(r - 1):
-        sign = (-1) ** idx
-        rest = parts[:idx] + parts[idx + 1:r - 1]
-        pair_terms = _lg_two_row_terms(parts[idx], parts[r - 1], n)
-        for (d1, f1), c1 in pair_terms.items():
-            for (d2, f2), c2 in _lg_giambelli_terms(rest, n).items():
-                key = (d1 + d2, tuple(sorted(f1 + f2, reverse=True)))
-                out[key] = out.get(key, 0) + sign * c1 * c2
-    return {k: c for k, c in out.items() if c != 0}
-
-
-@lru_cache(maxsize=None)
-def _fold_lg(lam: Partition, ps: tuple[int, ...], n: int):
-    if not ps:
-        return {(lam, 0): 1}
-    out: dict[tuple[Partition, int], int] = {}
-    for (kappa, d1), c1 in _pieri_lg(lam, ps[0], n).items():
-        for (nu, d2), c2 in _fold_lg(kappa, ps[1:], n).items():
-            key = (nu, d1 + d2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def quantum_product_lg_pfaffian(lam, mu, n: int) -> IsoQHElement:
-    """LG product by folding the Pfaffian Giambelli of ``mu`` into ``lam``.
-
-    Individual Pfaffian terms do carry q-corrections; they cancel in the
-    total, which is what makes this route a worthwhile validator.
-    """
-    lam = _check_strict(lam, n)
-    mu = _check_strict(mu, n)
-    out: dict[tuple[Partition, int], int] = {}
-    for (d0, factors), coeff in _lg_giambelli_terms(mu, n).items():
-        for (nu, d), c in _fold_lg(lam, factors, n).items():
-            key = (nu, d + d0)
-            out[key] = out.get(key, 0) + coeff * c
-    return IsoQHElement(LG, n, out)
-
-
-def gw_lg(lam, mu, nu, d: int, n: int) -> int:
-    """Degree-d three-point invariant on LG(n, 2n)."""
-    lam, mu, nu = (_check_strict(x, n) for x in (lam, mu, nu))
-    if d < 0 or sum(lam) + sum(mu) + sum(nu) != n * (n + 1) // 2 + d * (n + 1):
-        return 0
-    return _product_lg(lam, mu, n).get((strict_dual(nu, n), d), 0)
-
-
-def line_number_check_lg(lam, mu, nu, n: int) -> Report:
-    """Compare a degree-one invariant on LG(n, 2n) with half the classical
-    triple intersection of the same classes on LG(n+1, 2n+2)."""
-    lam, mu, nu = (_check_strict(x, n) for x in (lam, mu, nu))
-    if sum(lam) + sum(mu) + sum(nu) != n * (n + 1) // 2 + (n + 1):
-        raise ValueError("weights do not match the degree-one condition")
-    quantum = gw_lg(lam, mu, nu, 1, n)
-    classical = _product_lg(lam, mu, n + 1).get((strict_dual(nu, n + 1), 0), 0)
-    if classical % 2:
-        raise ContractViolation(
-            f"classical triple {classical} for {lam},{mu},{nu} is odd")
-    ok = quantum == classical // 2
-    failures = [] if ok else [
-        f"line number {quantum} != half of {classical} for {lam},{mu},{nu} at n={n}"]
-    return Report(ok=ok, checked=1, failures=failures,
-                  data={"quantum": quantum, "classical": classical})
-
-
-# ---------------------------------------------------------------------------
-# maximal orthogonal Grassmannian
-
-
-@lru_cache(maxsize=None)
-def _pieri_og(lam: Partition, p: int, n: int):
-    terms: dict[tuple[Partition, int], int] = {}
-    for mu in horizontal_strip_additions(lam, p, max_part=n):
-        comps, _ = skew_component_stats(lam, mu)
-        if is_strict(mu):
-            terms[(mu, 0)] = 1 << (comps - 1)
-        elif len(mu) >= 2 and mu[0] == n and mu[1] == n and is_strict(mu[2:]):
-            terms[(mu[2:], 1)] = 1 << (comps - 1)
-    return terms
-
-
-def quantum_pieri_og(lam, p: int, n: int) -> IsoQHElement:
-    """Quantum product with the special class t[p] on OG(n+1, 2n+2).
-
-    Both sums add p boxes, no two per column, with multiplicity
-    2^(components - 1); strict results are classical, results of the
-    shape (n, n, rest) lose that leading pair and pick up q.
-    """
-    lam = _check_strict(lam, n)
-    if not 1 <= p <= n:
-        raise ValueError(f"p={p} out of range 1..{n}")
-    return IsoQHElement(OG, n, _pieri_og(lam, p, n))
-
-
-@lru_cache(maxsize=None)
-def _product_og(lam: Partition, mu: Partition, n: int):
+def _product_og(space: Space, lam: Partition, mu: Partition):
+    n = space.n
     out: dict[tuple[Partition, int], int] = {}
     for key, c in ptilde_structure(lam, mu, n).items():
         mult = 0
@@ -312,87 +189,69 @@ def _product_og(lam: Partition, mu: Partition, n: int):
     return out
 
 
-def quantum_product_og(lam, mu, n: int, cross_check: bool = False) -> IsoQHElement:
-    """Quantum product on OG(n+1, 2n+2) via rescaled structure constants."""
-    lam = _check_strict(lam, n)
-    mu = _check_strict(mu, n)
-    result = IsoQHElement(OG, n, _product_og(lam, mu, n))
+_E_BASIS_PRODUCT = {LG: _product_lg, OG: _product_og}
+
+
+def _quantum_product(space: Space, lam, mu, cross_check: bool) -> IsoQHElement:
+    lam = space.check(lam)
+    mu = space.check(mu)
+    result = space.element(_E_BASIS_PRODUCT[space.kind](space, lam, mu))
     if cross_check:
-        other = quantum_product_og_pfaffian(lam, mu, n)
+        other = space.element(giambelli_fold(space, lam, mu))
         if result != other:
             raise ContractViolation(
-                f"OG product routes disagree for {lam} * {mu} at n={n}: "
+                f"{space.kind} product routes disagree for {lam} * {mu} at n={space.n}: "
                 f"{result.text()} vs {other.text()}")
     return result
 
 
-@lru_cache(maxsize=None)
-def _og_two_row_terms(i: int, j: int, n: int):
-    """Two-row Giambelli on OG: t[i,j] = t[i]t[j]
-    + 2 sum_{k=1}^{j-1} (-1)^k t[i+k]t[j-k] + (-1)^j t[i+j]."""
-    if j == 0:
-        return {(0, (i,) if i else ()): 1}
-    terms: dict[tuple[int, tuple[int, ...]], int] = {(0, (i, j)): 1}
-    for k in range(1, j):
-        if i + k > n:
-            break
-        key = (0, (i + k, j - k))
-        terms[key] = terms.get(key, 0) + 2 * (-1) ** k
-    if i + j <= n:
-        key = (0, (i + j,))
-        terms[key] = terms.get(key, 0) + (-1) ** j
-    return {k: c for k, c in terms.items() if c != 0}
+def quantum_product_lg(lam, mu, n: int, cross_check: bool = False) -> IsoQHElement:
+    """Quantum product on LG(n, 2n) via Pfaffian-polynomial constants.
+
+    With ``cross_check`` the product is recomputed by folding the quantum
+    Giambelli expansion of ``mu`` through the Pieri rule; disagreement
+    raises :class:`ContractViolation`.
+    """
+    return _quantum_product(Space.of(LG, None, n), lam, mu, cross_check)
 
 
-@lru_cache(maxsize=None)
-def _og_giambelli_terms(lam: Partition, n: int):
-    if len(lam) <= 1:
-        return {(0, lam): 1}
-    if len(lam) == 2:
-        return _og_two_row_terms(lam[0], lam[1], n)
-    parts = lam if len(lam) % 2 == 0 else lam + (0,)
-    r = len(parts)
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    for idx in range(r - 1):
-        sign = (-1) ** idx
-        rest = parts[:idx] + parts[idx + 1:r - 1]
-        for (d1, f1), c1 in _og_two_row_terms(parts[idx], parts[r - 1], n).items():
-            for (d2, f2), c2 in _og_giambelli_terms(rest, n).items():
-                key = (d1 + d2, tuple(sorted(f1 + f2, reverse=True)))
-                out[key] = out.get(key, 0) + sign * c1 * c2
-    return {k: c for k, c in out.items() if c != 0}
+def quantum_product_og(lam, mu, n: int, cross_check: bool = False) -> IsoQHElement:
+    """Quantum product on OG(n+1, 2n+2) via rescaled structure constants."""
+    return _quantum_product(Space.of(OG, None, n), lam, mu, cross_check)
 
 
-@lru_cache(maxsize=None)
-def _fold_og(lam: Partition, ps: tuple[int, ...], n: int):
-    if not ps:
-        return {(lam, 0): 1}
-    out: dict[tuple[Partition, int], int] = {}
-    for (kappa, d1), c1 in _pieri_og(lam, ps[0], n).items():
-        for (nu, d2), c2 in _fold_og(kappa, ps[1:], n).items():
-            key = (nu, d1 + d2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def quantum_product_og_pfaffian(lam, mu, n: int) -> IsoQHElement:
-    """OG product by folding the Pfaffian Giambelli of ``mu`` into ``lam``."""
-    lam = _check_strict(lam, n)
-    mu = _check_strict(mu, n)
-    out: dict[tuple[Partition, int], int] = {}
-    for (d0, factors), coeff in _og_giambelli_terms(mu, n).items():
-        for (nu, d), c in _fold_og(lam, factors, n).items():
-            key = (nu, d + d0)
-            out[key] = out.get(key, 0) + coeff * c
-    return IsoQHElement(OG, n, out)
+def gw_lg(lam, mu, nu, d: int, n: int) -> int:
+    """Degree-d three-point invariant on LG(n, 2n)."""
+    return ring.gw(Space.of(LG, None, n), lam, mu, nu, d, _product_lg)
 
 
 def gw_og(lam, mu, nu, d: int, n: int) -> int:
     """Degree-d three-point invariant on OG(n+1, 2n+2)."""
-    lam, mu, nu = (_check_strict(x, n) for x in (lam, mu, nu))
-    if d < 0 or sum(lam) + sum(mu) + sum(nu) != n * (n + 1) // 2 + 2 * n * d:
-        return 0
-    return _product_og(lam, mu, n).get((strict_dual(nu, n), d), 0)
+    return ring.gw(Space.of(OG, None, n), lam, mu, nu, d, _product_og)
+
+
+# ---------------------------------------------------------------------------
+# line numbers, duality and presentations
+
+
+def line_number_check_lg(lam, mu, nu, n: int) -> Report:
+    """Compare a degree-one invariant on LG(n, 2n) with half the classical
+    triple intersection of the same classes on LG(n+1, 2n+2)."""
+    space = Space.of(LG, None, n)
+    lam, mu, nu = (space.check(x) for x in (lam, mu, nu))
+    if sum(lam) + sum(mu) + sum(nu) != space.dim + space.q_degree:
+        raise ValueError("weights do not match the degree-one condition")
+    quantum = gw_lg(lam, mu, nu, 1, n)
+    up = Space.of(LG, None, n + 1)
+    classical = _product_lg(up, lam, mu).get((up.dual(nu), 0), 0)
+    if classical % 2:
+        raise ContractViolation(
+            f"classical triple {classical} for {lam},{mu},{nu} is odd")
+    ok = quantum == classical // 2
+    failures = [] if ok else [
+        f"line number {quantum} != half of {classical} for {lam},{mu},{nu} at n={n}"]
+    return Report(ok=ok, checked=1, failures=failures,
+                  data={"quantum": quantum, "classical": classical})
 
 
 def duality_check(lam, mu, nu, d: int, n: int) -> Report:
@@ -402,9 +261,9 @@ def duality_check(lam, mu, nu, d: int, n: int) -> Report:
     invariant of degree d equals the LG invariant of degree e of the
     complemented data; when len(lam) < 2d + 1 the OG invariant vanishes.
     """
-    lam = _check_strict(lam, n)
-    mu = _check_strict(mu, n - 1)
-    nu = _check_strict(nu, n - 1)
+    lam = Space.of(OG, None, n).check(lam)
+    lg = Space.of(LG, None, n - 1)
+    mu, nu = lg.check(mu), lg.check(nu)
     if not lam:
         raise ValueError("lam must be nonzero")
     og_value = gw_og(lam, mu, nu, d, n)
@@ -415,8 +274,7 @@ def duality_check(lam, mu, nu, d: int, n: int) -> Report:
             f"OG invariant {og_value} nonzero for short {lam}, d={d}, n={n}"]
         return Report(ok=ok, checked=1, failures=failures,
                       data={"og": og_value, "lg": None})
-    lg_value = gw_lg(hat_map(lam, n), strict_dual(mu, n - 1),
-                     strict_dual(nu, n - 1), e, n - 1)
+    lg_value = gw_lg(hat_map(lam, n), lg.dual(mu), lg.dual(nu), e, n - 1)
     ok = og_value == lg_value
     failures = [] if ok else [
         f"duality fails for {lam},{mu},{nu}, d={d}, n={n}: OG {og_value} vs LG {lg_value}"]
@@ -424,89 +282,48 @@ def duality_check(lam, mu, nu, d: int, n: int) -> Report:
                   data={"og": og_value, "lg": lg_value})
 
 
-# ---------------------------------------------------------------------------
-# presentations
-
-
-def _class_element(flavor: str, n: int, p: int, coeff: int = 1, d: int = 0) -> IsoQHElement:
-    """coeff * q^d * (special class p), with out-of-range p giving zero."""
-    if p < 0 or p > n:
-        return IsoQHElement(flavor, n)
-    key = ((p,) if p else (), d)
-    return IsoQHElement(flavor, n, {key: coeff})
-
-
-def _special_product(flavor: str, n: int, i: int, j: int) -> dict:
-    if i > n or j > n:
-        return {}
-    if j == 0:
-        return {((i,) if i else (), 0): 1}
-    if flavor == LG:
-        return _product_lg((i,), (j,), n)
-    return _product_og((i,), (j,), n)
-
-
-def _accumulate(total: dict, terms: dict, coeff: int):
-    for key, c in terms.items():
-        total[key] = total.get(key, 0) + coeff * c
+def _evaluate(space: Space, terms: dict) -> dict:
+    """Signed q-power monomials of at most two special classes, evaluated
+    with the e-basis product."""
+    product = _E_BASIS_PRODUCT[space.kind]
+    return ring.combine(terms, lambda f: product(space, f[:1], f[1:]) if len(f) > 1
+                        else {(f, 0): 1})
 
 
 def presentation_report_isotropic(flavor: str, n: int) -> Report:
     """Check the quantum ring presentation (and, on OG, the two-row
-    Giambelli identities) by direct evaluation of every relation."""
+    Giambelli identities) by direct evaluation of every relation.
+
+    The relations say that the two-row Giambelli expansion of the
+    non-strict index (i, i) vanishes, for i <= n on LG and i < n on OG.
+    """
+    space = Space.of(flavor, None, n)
     failures = []
-    checked = 0
-    if flavor == LG:
-        for i in range(1, n + 1):
-            total: dict = {}
-            _accumulate(total, _special_product(LG, n, i, i), 1)
-            for k in range(1, n - i + 1):
-                if i - k < 0:
-                    break
-                _accumulate(total, _special_product(LG, n, i + k, i - k), 2 * (-1) ** k)
-            e = 2 * i - n - 1
-            if e >= 0:
-                _accumulate(total, {((e,) if e else (), 1): 1}, -((-1) ** (n - i)))
-            checked += 1
-            if IsoQHElement(LG, n, total).coeffs:
-                failures.append(f"LG relation i={i} fails at n={n}")
-    elif flavor == OG:
-        for i in range(1, n):
-            total = {}
-            _accumulate(total, _special_product(OG, n, i, i), 1)
-            for k in range(1, i):
-                if i + k > n:
-                    break
-                _accumulate(total, _special_product(OG, n, i + k, i - k), 2 * (-1) ** k)
-            if 2 * i <= n:
-                _accumulate(total, {((2 * i,), 0): 1}, (-1) ** i)
-            checked += 1
-            if IsoQHElement(OG, n, total).coeffs:
-                failures.append(f"OG relation i={i} fails at n={n}")
+    squares = range(1, n + 1) if flavor == LG else range(1, n)
+    for i in squares:
+        if _evaluate(space, _two_row_terms(space, i, i)):
+            failures.append(f"{flavor} relation i={i} fails at n={n}")
+    checked = len(squares)
+    if flavor == OG:
         top = quantum_product_og((n,), (n,), n)
         checked += 1
         if top != IsoQHElement(OG, n, {((), 1): 1}):
             failures.append(f"t[{n}]^2 = {top.text()} on OG, expected q")
         for i in range(2, n + 1):
             for j in range(1, i):
-                total = {}
-                for (d, factors), coeff in _og_two_row_terms(i, j, n).items():
-                    if len(factors) <= 1:
-                        p = factors[0] if factors else 0
-                        _accumulate(total, {((p,) if p else (), d): 1}, coeff)
-                    else:
-                        sub = _special_product(OG, n, factors[0], factors[1])
-                        _accumulate(total, {(k[0], k[1] + d): c for k, c in sub.items()}, coeff)
                 checked += 1
-                if IsoQHElement(OG, n, total) != IsoQHElement(OG, n, {((i, j), 0): 1}):
+                if _evaluate(space, _two_row_terms(space, i, j)) != {((i, j), 0): 1}:
                     failures.append(f"OG two-row Giambelli fails for ({i},{j}) at n={n}")
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
     return Report(ok=not failures, checked=checked, failures=failures)
 
 
 def clear_caches():
-    for fn in (_pieri_lg, _product_lg, _lg_two_row_terms, _lg_giambelli_terms,
-               _fold_lg, _pieri_og, _product_og, _og_two_row_terms,
-               _og_giambelli_terms, _fold_og):
+    for fn in (_pieri_lg, _pieri_og, _two_row_terms, _pfaffian_terms,
+               _product_lg, _product_og):
         fn.cache_clear()
+    ring.clear_caches()
+
+
+for _kind, _pieri in ((LG, _pieri_lg), (OG, _pieri_og)):
+    ring.PIERI[_kind] = _pieri
+    ring.GIAMBELLI[_kind] = _pfaffian_terms

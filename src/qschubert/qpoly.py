@@ -16,9 +16,11 @@ the Schubert calculus of the maximal isotropic Grassmannians.
 
 from __future__ import annotations
 
-from .combinat import (Partition, is_strict, partition,
-                       partitions_with_parts_at_most, skew_component_stats,
-                       horizontal_strip_additions)
+from functools import lru_cache
+
+from .combinat import (Partition, horizontal_strip_additions, is_strict,
+                       partition, partitions_with_parts_at_most,
+                       skew_component_stats)
 
 
 class ContractViolation(RuntimeError):
@@ -43,16 +45,25 @@ class EPoly:
         self.coeffs = {k: c for k, c in clean.items() if c != 0}
 
     @classmethod
+    def _of(cls, n: int, coeffs: dict[Partition, int]) -> "EPoly":
+        """Wrap keys the engine built (canonical, parts at most n); only
+        zero coefficients are dropped."""
+        f = object.__new__(cls)
+        f.n = n
+        f.coeffs = {k: c for k, c in coeffs.items() if c}
+        return f
+
+    @classmethod
     def monomial(cls, n: int, lam, coeff: int = 1) -> "EPoly":
         return cls(n, {partition(lam): coeff})
 
     @classmethod
     def zero(cls, n: int) -> "EPoly":
-        return cls(n, {})
+        return cls._of(n, {})
 
     @classmethod
     def one(cls, n: int) -> "EPoly":
-        return cls(n, {(): 1})
+        return cls._of(n, {(): 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -61,15 +72,14 @@ class EPoly:
         if self.n != other.n:
             raise ValueError("mixed variable counts")
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return EPoly(self.n, out)
+        _accumulate(out, other, 1)
+        return EPoly._of(self.n, out)
 
     def __sub__(self, other: "EPoly") -> "EPoly":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "EPoly":
-        return EPoly(self.n, {k: c * v for k, v in self.coeffs.items()})
+        return EPoly._of(self.n, {k: c * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other: "EPoly") -> "EPoly":
         if self.n != other.n:
@@ -79,7 +89,7 @@ class EPoly:
             for k2, c2 in other.coeffs.items():
                 key = tuple(sorted(k1 + k2, reverse=True))
                 out[key] = out.get(key, 0) + c1 * c2
-        return EPoly(self.n, out)
+        return EPoly._of(self.n, out)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, EPoly) and self.n == other.n
@@ -101,31 +111,27 @@ class EPoly:
         return f"EPoly({terms})"
 
 
-_pair_cache: dict[tuple, EPoly] = {}
-_qt_cache: dict[tuple, EPoly] = {}
+def _accumulate(total: dict[Partition, int], f: EPoly, c: int):
+    """Add c * f into a coefficient dict in place."""
+    for k, v in f.coeffs.items():
+        total[k] = total.get(k, 0) + c * v
 
 
+@lru_cache(maxsize=None)
 def _pair_epoly(i: int, j: int, n: int) -> EPoly:
     """The two-subscript Pfaffian polynomial, valid for i >= j >= 0."""
-    key = (i, j, n)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
     if j == 0:
-        out = EPoly.one(n) if i == 0 else qtilde_epoly((i,), n)
-    elif i > n:
-        out = EPoly.zero(n)
-    else:
-        terms = {(i, j) if i >= j else (j, i): 1} if j <= n else {}
-        out = EPoly(n, terms)
-        for k in range(1, n - i + 1):
-            lo = j - k
-            if lo < 0:
-                break
-            key2 = (i + k,) if lo == 0 else (i + k, lo)
-            out = out + EPoly.monomial(n, key2, 2 * (-1) ** k)
-    _pair_cache[key] = out
-    return out
+        return EPoly.one(n) if i == 0 else _qtilde((i,), n)
+    if i > n:
+        return EPoly.zero(n)
+    terms = {(i, j) if i >= j else (j, i): 1} if j <= n else {}
+    for k in range(1, n - i + 1):
+        lo = j - k
+        if lo < 0:
+            break
+        key = (i + k,) if lo == 0 else (i + k, lo)
+        terms[key] = terms.get(key, 0) + 2 * (-1) ** k
+    return EPoly._of(n, terms)
 
 
 def qtilde_epoly(lam, n: int) -> EPoly:
@@ -136,29 +142,25 @@ def qtilde_epoly(lam, n: int) -> EPoly:
     along pairs containing the last entry, padding with a zero part when
     the length is odd.
     """
-    lam = partition(lam)
-    key = (lam, n)
-    hit = _qt_cache.get(key)
-    if hit is not None:
-        return hit
+    return _qtilde(partition(lam), n)
+
+
+@lru_cache(maxsize=None)
+def _qtilde(lam: Partition, n: int) -> EPoly:
     if lam and lam[0] > n:
-        out = EPoly.zero(n)
-    elif len(lam) == 0:
-        out = EPoly.one(n)
-    elif len(lam) == 1:
-        out = EPoly.monomial(n, lam)
-    elif len(lam) == 2:
-        out = _pair_epoly(lam[0], lam[1], n)
-    else:
-        parts = lam if len(lam) % 2 == 0 else lam + (0,)
-        r = len(parts)
-        out = EPoly.zero(n)
-        for j in range(r - 1):
-            rest = parts[:j] + parts[j + 1:r - 1]
-            term = _pair_epoly(parts[j], parts[r - 1], n) * qtilde_epoly(rest, n)
-            out = out + term.scale((-1) ** j)
-    _qt_cache[key] = out
-    return out
+        return EPoly.zero(n)
+    if len(lam) <= 1:
+        return EPoly._of(n, {lam: 1})
+    if len(lam) == 2:
+        return _pair_epoly(lam[0], lam[1], n)
+    parts = lam if len(lam) % 2 == 0 else lam + (0,)
+    r = len(parts)
+    total: dict[Partition, int] = {}
+    for j in range(r - 1):
+        rest = parts[:j] + parts[j + 1:r - 1]
+        _accumulate(total, _pair_epoly(parts[j], parts[r - 1], n) * _qtilde(rest, n),
+                    (-1) ** j)
+    return EPoly._of(n, total)
 
 
 def qtilde_pfaffian_first_row(lam, n: int) -> EPoly:
@@ -170,40 +172,32 @@ def qtilde_pfaffian_first_row(lam, n: int) -> EPoly:
     if lam and lam[0] > n:
         return EPoly.zero(n)
     if len(lam) <= 2:
-        return qtilde_epoly(lam, n)
+        return _qtilde(lam, n)
     parts = lam if len(lam) % 2 == 0 else lam + (0,)
     r = len(parts)
-    out = EPoly.zero(n)
+    total: dict[Partition, int] = {}
     for j in range(1, r):
         rest = parts[1:j] + parts[j + 1:]
-        term = _pair_epoly(parts[0], parts[j], n) * qtilde_pfaffian_first_row(rest, n)
-        out = out + term.scale((-1) ** (j - 1))
-    return out
+        _accumulate(total, _pair_epoly(parts[0], parts[j], n)
+                    * qtilde_pfaffian_first_row(rest, n), (-1) ** (j - 1))
+    return EPoly._of(n, total)
 
 
-_transition_cache: dict[tuple, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _transition(n: int, w: int):
     """Rows of the basis-to-e transition matrix in weight w, plus the basis
     ordered descending; asserts unitriangularity with unit pivots."""
-    key = (n, w)
-    hit = _transition_cache.get(key)
-    if hit is not None:
-        return hit
     basis = sorted(partitions_with_parts_at_most(w, n), reverse=True)
     rows = {}
     for nu in basis:
-        row = qtilde_epoly(nu, n)
+        row = _qtilde(nu, n)
         if row.coeffs.get(nu) != 1:
             raise ContractViolation(f"pivot at {nu} is {row.coeffs.get(nu)}, not 1")
         for mu in row.coeffs:
             if mu < nu:
                 raise ContractViolation(f"row {nu} reaches below the diagonal at {mu}")
         rows[nu] = row
-    result = (basis, rows)
-    _transition_cache[key] = result
-    return result
+    return basis, rows
 
 
 def expand_in_qtilde(f: EPoly, n: int) -> dict[Partition, int]:
@@ -286,6 +280,5 @@ def qtilde_pieri(lam, p: int, n: int) -> dict[Partition, int]:
 
 
 def clear_caches():
-    _pair_cache.clear()
-    _qt_cache.clear()
-    _transition_cache.clear()
+    for fn in (_pair_epoly, _qtilde, _transition):
+        fn.cache_clear()

@@ -15,6 +15,11 @@ monomials through the quantum Pieri rule, which is exact integer work:
 Gromov-Witten invariants of degree d are coefficient extractions from
 these products, and can independently be counted as 2-step puzzles over
 the degree-d boundary strings.
+
+This module holds what is particular to G(m, N): the quantum Pieri rule,
+the Jacobi-Trudi (Schur determinant) expansion, the puzzle route and the
+presentation.  The element class, the fold, the Giambelli-fold product
+and the invariant are shared with LG and OG in :mod:`qschubert.ring`.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
-from . import puzzle
-from .combinat import (Partition, fits_in_box, horizontal_strip_additions,
-                       jd_string, partition, partitions_in_box, rect_dual)
+from . import puzzle, ring
+from .combinat import Partition, horizontal_strip_additions, jd_string, trim
+from .combinat import partition  # noqa: F401  (the benchmark self-test reads it)
+from .ring import A, QHElement, Space, giambelli_fold
 
 
 @dataclass
@@ -45,67 +51,6 @@ class SpecialMonomial(NamedTuple):
     factors: tuple[int, ...]
 
 
-class QHElement:
-    """Integer combination of q^d * s[nu] in the quantum ring of G(m, N)."""
-
-    __slots__ = ("m", "n", "coeffs")
-
-    def __init__(self, m: int, n: int, coeffs=None):
-        self.m = m
-        self.n = n
-        clean: dict[tuple[Partition, int], int] = {}
-        for (nu, d), c in (coeffs or {}).items():
-            if c == 0:
-                continue
-            nu = partition(nu)
-            if not fits_in_box(nu, m, n):
-                raise ValueError(f"{nu} does not fit in a {m}x{n} rectangle")
-            if d < 0:
-                raise ValueError("negative q exponent")
-            clean[(nu, d)] = clean.get((nu, d), 0) + c
-        self.coeffs = {k: c for k, c in clean.items() if c != 0}
-
-    def coefficient(self, nu, d: int = 0) -> int:
-        return self.coeffs.get((partition(nu), d), 0)
-
-    def terms(self):
-        """Terms sorted by ascending q power, then by descending partition."""
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][1], tuple(-x for x in kv[0][0])))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, QHElement) and (self.m, self.n) == (other.m, other.n)
-                and self.coeffs == other.coeffs)
-
-    def text(self, symbol: str = "s") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (nu, d), c in self.terms():
-            bits = []
-            if c != 1:
-                bits.append(str(c))
-            if d == 1:
-                bits.append("q")
-            elif d > 1:
-                bits.append(f"q^{d}")
-            bits.append(f"{symbol}[{','.join(str(x) for x in nu)}]")
-            parts.append("*".join(bits))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"QHElement(G({self.m},{self.m + self.n}), {self.text()})"
-
-
-def _check_box(lam: Partition, m: int, n: int) -> Partition:
-    lam = partition(lam)
-    if not fits_in_box(lam, m, n):
-        raise ValueError(f"{lam} does not fit in a {m}x{n} rectangle")
-    return lam
-
-
 def _rim_removals(lam: Partition, removed: int):
     """Subpartitions nu with lam/nu inside the rim of lam, every row losing
     at least one box, and |lam| - |nu| = removed."""
@@ -115,7 +60,7 @@ def _rim_removals(lam: Partition, removed: int):
     def rec(i, acc, remaining):
         if i == m:
             if remaining == 0:
-                out.append(partition(acc))
+                out.append(trim(acc))
             return
         below = lam[i + 1] if i + 1 < m else 0
         hi = lam[i] - 1
@@ -128,7 +73,8 @@ def _rim_removals(lam: Partition, removed: int):
 
 
 @lru_cache(maxsize=None)
-def _pieri_map(lam: Partition, p: int, m: int, n: int):
+def _pieri_map(space: Space, lam: Partition, p: int):
+    m, n = space.m, space.n
     terms: dict[tuple[Partition, int], int] = {}
     for mu in horizontal_strip_additions(lam, p, max_part=n, max_rows=m):
         terms[(mu, 0)] = 1
@@ -140,10 +86,7 @@ def _pieri_map(lam: Partition, p: int, m: int, n: int):
 
 def quantum_pieri_a(lam, p: int, m: int, n: int) -> QHElement:
     """Quantum product of a Schubert class with the special class s[p]."""
-    lam = _check_box(lam, m, n)
-    if not 1 <= p <= n:
-        raise ValueError(f"p={p} out of range 1..{n}")
-    return QHElement(m, n, _pieri_map(lam, p, m, n))
+    return ring.quantum_pieri(Space.of(A, m, n), lam, p)
 
 
 def _signed_permutations(k: int):
@@ -171,85 +114,58 @@ def _det_factor_entries(rows: tuple[int, ...], n: int):
 
 
 @lru_cache(maxsize=None)
-def _det_factor_map(rows: tuple[int, ...], n: int):
-    acc: dict[tuple[int, ...], int] = {}
+def _det_terms(rows: tuple[int, ...], n: int):
+    """The Schur determinant as Giambelli terms {(0, factors): coeff}."""
+    acc: dict[tuple[int, tuple[int, ...]], int] = {}
     for sign, factors in _det_factor_entries(rows, n):
-        acc[factors] = acc.get(factors, 0) + sign
+        acc[(0, factors)] = acc.get((0, factors), 0) + sign
     return {f: c for f, c in acc.items() if c != 0}
 
 
 def giambelli_monomials(lam, m: int, n: int) -> list[SpecialMonomial]:
     """Signed expansion of the Schur determinant expressing s[lam]."""
-    lam = _check_box(lam, m, n)
+    lam = Space.of(A, m, n).check(lam)
     return [SpecialMonomial(sign, factors)
             for sign, factors in _det_factor_entries(lam, n)]
 
 
-@lru_cache(maxsize=None)
-def _fold(lam: Partition, ps: tuple[int, ...], m: int, n: int):
-    """Quantum product of s[lam] with the special classes in ps."""
-    if not ps:
-        return {(lam, 0): 1}
-    out: dict[tuple[Partition, int], int] = {}
-    for (kappa, d1), c1 in _pieri_map(lam, ps[0], m, n).items():
-        for (nu, d2), c2 in _fold(kappa, ps[1:], m, n).items():
-            key = (nu, d1 + d2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-@lru_cache(maxsize=None)
-def _product_map(lam: Partition, mu: Partition, m: int, n: int):
-    """Product folding mu through its determinant monomials into lam."""
-    out: dict[tuple[Partition, int], int] = {}
-    for factors, coeff in _det_factor_map(mu, n).items():
-        for key, c in _fold(lam, factors, m, n).items():
-            out[key] = out.get(key, 0) + coeff * c
-    return {k: c for k, c in out.items() if c != 0}
+def _fold_lighter(space: Space, lam: Partition, mu: Partition):
+    """The lighter factor is the one expanded through its determinant,
+    which bounds the depth of iterated Pieri steps."""
+    if sum(mu) <= sum(lam):
+        return giambelli_fold(space, lam, mu)
+    return giambelli_fold(space, mu, lam)
 
 
 def quantum_product_a(lam, mu, m: int, n: int) -> QHElement:
-    """Quantum product of two Schubert classes.
-
-    The lighter factor is the one expanded through its determinant, which
-    bounds the depth of iterated Pieri steps.
-    """
-    lam = _check_box(lam, m, n)
-    mu = _check_box(mu, m, n)
-    if sum(mu) <= sum(lam):
-        return QHElement(m, n, _product_map(lam, mu, m, n))
-    return QHElement(m, n, _product_map(mu, lam, m, n))
+    """Quantum product of two Schubert classes."""
+    space = Space.of(A, m, n)
+    return space.element(_fold_lighter(space, space.check(lam), space.check(mu)))
 
 
 def product_second_folded(lam, mu, m: int, n: int) -> QHElement:
     """Product that always folds the second factor; commuting the arguments
     exercises genuinely different computations."""
-    return QHElement(m, n, _product_map(_check_box(lam, m, n), _check_box(mu, m, n), m, n))
+    return ring.folded_product(Space.of(A, m, n), lam, mu)
 
 
 def multiply_element_by_class(elem: QHElement, kappa, m: int, n: int) -> QHElement:
-    kappa = _check_box(kappa, m, n)
-    out: dict[tuple[Partition, int], int] = {}
-    for (nu, d), c in elem.coeffs.items():
-        for (rho, d2), c2 in _product_map(nu, kappa, m, n).items():
-            key = (rho, d + d2)
-            out[key] = out.get(key, 0) + c * c2
-    return QHElement(m, n, out)
+    space = Space.of(A, m, n)
+    kappa = space.check(kappa)
+    terms = {(d, nu): c for (nu, d), c in elem.coeffs.items()}
+    return space.element(ring.combine(terms, lambda nu: giambelli_fold(space, nu, kappa)))
 
 
 def gw_a(lam, mu, nu, d: int, m: int, n: int) -> int:
     """Three-point genus-zero invariant of degree d on G(m, m+n)."""
-    lam, mu, nu = (_check_box(x, m, n) for x in (lam, mu, nu))
-    if d < 0 or sum(lam) + sum(mu) + sum(nu) != m * n + d * (m + n):
-        return 0
-    product = _product_map(*sorted((lam, mu), key=sum, reverse=True), m, n)
-    return product.get((rect_dual(nu, m, n), d), 0)
+    return ring.gw(Space.of(A, m, n), lam, mu, nu, d, _fold_lighter)
 
 
 def gw_a_puzzle(lam, mu, nu, d: int, m: int, n: int) -> int:
     """The same invariant counted as 2-step puzzles over degree-d strings."""
-    lam, mu, nu = (_check_box(x, m, n) for x in (lam, mu, nu))
-    if d < 0 or sum(lam) + sum(mu) + sum(nu) != m * n + d * (m + n):
+    space = Space.of(A, m, n)
+    lam, mu, nu = (space.check(x) for x in (lam, mu, nu))
+    if d < 0 or sum(lam) + sum(mu) + sum(nu) != space.dim + d * space.q_degree:
         warnings.warn("degree condition violated, the invariant is 0")
         return 0
     if d > min(m, n):
@@ -269,30 +185,18 @@ def dims(m: int, n: int, d: int) -> tuple[int, int]:
     return big, m * n
 
 
-def _fold_element(ps: tuple[int, ...], m: int, n: int):
-    return _fold((), tuple(sorted(ps, reverse=True)), m, n)
-
-
-def _evaluate_det(rows: tuple[int, ...], m: int, n: int):
-    """Evaluate a Schur determinant in the quantum ring, from the unit class."""
-    out: dict[tuple[Partition, int], int] = {}
-    for factors, coeff in _det_factor_map(rows, n).items():
-        for key, c in _fold_element(factors, m, n).items():
-            out[key] = out.get(key, 0) + coeff * c
-    return QHElement(m, n, out)
-
-
 def presentation_report_a(m: int, n: int) -> Report:
     """Check the quantum ring presentation of G(m, m+n).
 
     The determinants D_k in the special classes vanish for
     m < k < N, D_N equals (-1)^(n+1) q, and s[n] * s[1^m] = q.
     """
+    space = Space.of(A, m, n)
     N = m + n
     failures = []
     checked = 0
     for k in range(m + 1, N + 1):
-        value = _evaluate_det((1,) * k, m, n)
+        value = space.element(giambelli_fold(space, (), (1,) * k))
         expected = QHElement(m, n, {} if k < N else {((), 1): (-1) ** (n + 1)})
         checked += 1
         if value != expected:
@@ -304,12 +208,11 @@ def presentation_report_a(m: int, n: int) -> Report:
     return Report(ok=not failures, checked=checked, failures=failures)
 
 
-def all_schubert_classes(m: int, n: int):
-    return partitions_in_box(m, n)
-
-
 def clear_caches():
     _pieri_map.cache_clear()
-    _det_factor_map.cache_clear()
-    _fold.cache_clear()
-    _product_map.cache_clear()
+    _det_terms.cache_clear()
+    ring.clear_caches()
+
+
+ring.PIERI[A] = _pieri_map
+ring.GIAMBELLI[A] = lambda space, lam: _det_terms(lam, space.n)

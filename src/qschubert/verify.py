@@ -15,6 +15,7 @@ from . import isotropic, puzzle, qpoly, typea
 from .combinat import (partition, partitions_in_box,
                        partitions_with_parts_at_most,
                        strict_partitions_max, to_01_string)
+from .ring import LG, OG, Space
 from .typea import Report
 
 _MAX_FAILURES = 5
@@ -26,30 +27,36 @@ def _note(report: Report, message: str):
         report.failures.append(message)
 
 
+def _absorb(report: Report, sub: Report):
+    report.checked += sub.checked
+    for f in sub.failures:
+        _note(report, f)
+
+
 def suite_presentations(max_N: int = 8, max_n: int = 4) -> Report:
     """Ring presentations: type A for all m+n <= max_N, LG and OG for
     n <= max_n."""
     report = Report(ok=True)
     for N in range(2, max_N + 1):
         for m in range(1, N):
-            sub = typea.presentation_report_a(m, N - m)
-            report.checked += sub.checked
-            for f in sub.failures:
-                _note(report, f)
+            _absorb(report, typea.presentation_report_a(m, N - m))
     for n in range(1, max_n + 1):
-        for flavor in (isotropic.LG, isotropic.OG):
-            sub = isotropic.presentation_report_isotropic(flavor, n)
-            report.checked += sub.checked
-            for f in sub.failures:
-                _note(report, f)
+        for flavor in (LG, OG):
+            _absorb(report, isotropic.presentation_report_isotropic(flavor, n))
     return report
 
 
-def _classes_by_weight(m: int, n: int):
+def _graded_triples(classes: list, m: int, n: int):
+    """Every (d, lam, mu, nu) of classes on G(m, m+n) with
+    |lam| + |mu| + |nu| = mn + d(m+n), for 0 <= d <= min(m, n)."""
     by_weight: dict[int, list] = {}
-    for lam in partitions_in_box(m, n):
+    for lam in classes:
         by_weight.setdefault(sum(lam), []).append(lam)
-    return by_weight
+    for d in range(0, min(m, n) + 1):
+        for lam in classes:
+            for mu in classes:
+                for nu in by_weight.get(m * n + d * (m + n) - sum(lam) - sum(mu), ()):
+                    yield d, lam, mu, nu
 
 
 def suite_puzzle_conjecture(max_N: int = 8, max_classical_N: int = 8) -> Report:
@@ -66,7 +73,6 @@ def suite_puzzle_conjecture(max_N: int = 8, max_classical_N: int = 8) -> Report:
         for m in range(1, N):
             n = N - m
             classes = partitions_in_box(m, n)
-            by_weight = _classes_by_weight(m, n)
             if N <= max_classical_N:
                 strings = {lam: to_01_string(lam, m, n) for lam in classes}
                 for lam in classes:
@@ -79,19 +85,13 @@ def suite_puzzle_conjecture(max_N: int = 8, max_classical_N: int = 8) -> Report:
                             if got != want:
                                 _note(report, f"1-step G({m},{N}) {lam},{mu},{nu}: "
                                               f"puzzle {got} != {want}")
-            for d in range(0, min(m, n) + 1):
-                for lam in classes:
-                    for mu in classes:
-                        w = m * n + d * N - sum(lam) - sum(mu)
-                        if w < 0 or w > m * n:
-                            continue
-                        for nu in by_weight.get(w, ()):
-                            got = typea.gw_a_puzzle(lam, mu, nu, d, m, n)
-                            want = typea.gw_a(lam, mu, nu, d, m, n)
-                            report.checked += 1
-                            if got != want:
-                                _note(report, f"G({m},{N}) d={d} {lam},{mu},{nu}: "
-                                              f"puzzle {got} != {want}")
+            for d, lam, mu, nu in _graded_triples(classes, m, n):
+                got = typea.gw_a_puzzle(lam, mu, nu, d, m, n)
+                want = typea.gw_a(lam, mu, nu, d, m, n)
+                report.checked += 1
+                if got != want:
+                    _note(report, f"G({m},{N}) d={d} {lam},{mu},{nu}: "
+                                  f"puzzle {got} != {want}")
     return report
 
 
@@ -106,10 +106,7 @@ def suite_duality(max_n: int = 4) -> Report:
             for mu in smalls:
                 for nu in smalls:
                     for d in range(0, n + 1):
-                        sub = isotropic.duality_check(lam, mu, nu, d, n)
-                        report.checked += 1
-                        for f in sub.failures:
-                            _note(report, f)
+                        _absorb(report, isotropic.duality_check(lam, mu, nu, d, n))
     return report
 
 
@@ -125,10 +122,7 @@ def suite_line_numbers(max_n: int = 3) -> Report:
                 for nu in classes:
                     if sum(lam) + sum(mu) + sum(nu) != target:
                         continue
-                    sub = isotropic.line_number_check_lg(lam, mu, nu, n)
-                    report.checked += 1
-                    for f in sub.failures:
-                        _note(report, f)
+                    _absorb(report, isotropic.line_number_check_lg(lam, mu, nu, n))
     return report
 
 
@@ -245,49 +239,36 @@ def suite_symmetry(max_N: int = 7, max_n: int = 4) -> Report:
         for m in range(1, N):
             n = N - m
             classes = partitions_in_box(m, n)
-            by_weight = _classes_by_weight(m, n)
             for lam in classes:
                 for mu in classes:
                     report.checked += 1
                     if typea.product_second_folded(lam, mu, m, n) != \
                             typea.product_second_folded(mu, lam, m, n):
                         _note(report, f"commutativity fails for {lam},{mu} on G({m},{N})")
-            for d in range(0, min(m, n) + 1):
-                for lam in classes:
-                    for mu in classes:
-                        w = m * n + d * N - sum(lam) - sum(mu)
-                        if w < 0 or w > m * n:
-                            continue
-                        for nu in by_weight.get(w, ()):
-                            base = typea.gw_a(lam, mu, nu, d, m, n)
-                            report.checked += 1
-                            for triple in ((mu, nu, lam), (nu, lam, mu),
-                                           (mu, lam, nu), (lam, nu, mu), (nu, mu, lam)):
-                                if typea.gw_a(*triple, d, m, n) != base:
-                                    _note(report, f"S3 fails on G({m},{N}) d={d} "
-                                                  f"{lam},{mu},{nu}")
-                                    break
+            for d, lam, mu, nu in _graded_triples(classes, m, n):
+                base = typea.gw_a(lam, mu, nu, d, m, n)
+                report.checked += 1
+                for triple in ((mu, nu, lam), (nu, lam, mu),
+                               (mu, lam, nu), (lam, nu, mu), (nu, mu, lam)):
+                    if typea.gw_a(*triple, d, m, n) != base:
+                        _note(report, f"S3 fails on G({m},{N}) d={d} {lam},{mu},{nu}")
+                        break
     for n in range(1, max_n + 1):
         classes = strict_partitions_max(n)
-        dim_lg = n * (n + 1) // 2
+        spaces = [(Space.of(LG, None, n), isotropic.gw_lg),
+                  (Space.of(OG, None, n), isotropic.gw_og)]
         for lam in classes:
             for mu in classes:
                 for nu in classes:
                     total = sum(lam) + sum(mu) + sum(nu)
-                    d, rem = divmod(total - dim_lg, n + 1)
-                    if rem == 0 and d >= 0:
-                        base = isotropic.gw_lg(lam, mu, nu, d, n)
-                        report.checked += 1
-                        if any(isotropic.gw_lg(*t, d, n) != base for t in
-                               ((mu, nu, lam), (nu, lam, mu), (mu, lam, nu))):
-                            _note(report, f"LG S3 fails at {lam},{mu},{nu}, n={n}")
-                    d, rem = divmod(total - dim_lg, 2 * n) if n else (0, 1)
-                    if rem == 0 and d >= 0:
-                        base = isotropic.gw_og(lam, mu, nu, d, n)
-                        report.checked += 1
-                        if any(isotropic.gw_og(*t, d, n) != base for t in
-                               ((mu, nu, lam), (nu, lam, mu), (mu, lam, nu))):
-                            _note(report, f"OG S3 fails at {lam},{mu},{nu}, n={n}")
+                    for space, gw in spaces:
+                        d, rem = divmod(total - space.dim, space.q_degree)
+                        if rem == 0 and d >= 0:
+                            base = gw(lam, mu, nu, d, n)
+                            report.checked += 1
+                            if any(gw(*t, d, n) != base for t in
+                                   ((mu, nu, lam), (nu, lam, mu), (mu, lam, nu))):
+                                _note(report, f"{space.kind} S3 fails at {lam},{mu},{nu}, n={n}")
     return report
 
 

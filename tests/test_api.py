@@ -1,0 +1,137 @@
+"""The public interface: exported names, signatures, and the validation
+every public entry point applies to caller-supplied partitions."""
+
+import inspect
+
+import pytest
+
+import qschubert
+from qschubert import EPoly
+
+EXPORTS = [
+    "ContractViolation", "EPoly", "IsoQHElement", "LabelString", "Partition",
+    "QHElement", "Report", "SpecialMonomial", "conjugate",
+    "count_puzzles_1step", "count_puzzles_2step", "dims", "duality_check",
+    "expand_in_qtilde", "from_01_string", "giambelli_monomials",
+    "grassmann_permutation", "gw_a", "gw_a_puzzle", "gw_lg", "gw_og",
+    "hat_map", "jd_string", "line_number_check_lg", "partition",
+    "presentation_report_a", "presentation_report_isotropic",
+    "ptilde_structure", "qtilde_epoly", "qtilde_pieri", "qtilde_structure",
+    "quantum_pieri_a", "quantum_pieri_lg", "quantum_pieri_og",
+    "quantum_product_a", "quantum_product_lg", "quantum_product_og",
+    "rect_dual", "remove_columns", "skew_component_stats", "strict_dual",
+    "string012_to_permutation", "to_01_string",
+]
+
+# parameter lists (names, kinds and defaults, without annotations)
+SIGNATURES = {
+    "EPoly": "(n, coeffs=None)",
+    "EPoly.monomial": "(n, lam, coeff=1)",
+    "IsoQHElement": "(flavor, n, coeffs=None)",
+    "LabelString": "(symbols, alphabet)",
+    "QHElement": "(m, n, coeffs=None)",
+    "Report": "(ok, checked=0, failures=<factory>, data=<factory>)",
+    "SpecialMonomial": "(sign, factors)",
+    "conjugate": "(lam)",
+    "count_puzzles_1step": "(nw, ne, s)",
+    "count_puzzles_2step": "(nw, ne, s)",
+    "dims": "(m, n, d)",
+    "duality_check": "(lam, mu, nu, d, n)",
+    "expand_in_qtilde": "(f, n)",
+    "from_01_string": "(s, m=None)",
+    "giambelli_monomials": "(lam, m, n)",
+    "grassmann_permutation": "(lam, m, n)",
+    "gw_a": "(lam, mu, nu, d, m, n)",
+    "gw_a_puzzle": "(lam, mu, nu, d, m, n)",
+    "gw_lg": "(lam, mu, nu, d, n)",
+    "gw_og": "(lam, mu, nu, d, n)",
+    "hat_map": "(lam, n)",
+    "jd_string": "(lam, m, n, d)",
+    "line_number_check_lg": "(lam, mu, nu, n)",
+    "partition": "(parts)",
+    "presentation_report_a": "(m, n)",
+    "presentation_report_isotropic": "(flavor, n)",
+    "ptilde_structure": "(lam, mu, n)",
+    "qtilde_epoly": "(lam, n)",
+    "qtilde_pieri": "(lam, p, n)",
+    "qtilde_structure": "(lam, mu, n)",
+    "quantum_pieri_a": "(lam, p, m, n)",
+    "quantum_pieri_lg": "(lam, p, n)",
+    "quantum_pieri_og": "(lam, p, n)",
+    "quantum_product_a": "(lam, mu, m, n)",
+    "quantum_product_lg": "(lam, mu, n, cross_check=False)",
+    "quantum_product_og": "(lam, mu, n, cross_check=False)",
+    "rect_dual": "(lam, m, n)",
+    "remove_columns": "(lam, d)",
+    "skew_component_stats": "(lam, mu)",
+    "strict_dual": "(nu, n)",
+    "string012_to_permutation": "(s, a, b)",
+    "to_01_string": "(lam, m, n)",
+}
+
+
+def _parameters(obj) -> str:
+    sig = inspect.signature(obj)
+    params = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=params, return_annotation=sig.empty))
+
+
+def test_exports_unchanged():
+    assert qschubert.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_public_signatures_unchanged(name):
+    obj = qschubert
+    for attr in name.split("."):
+        obj = getattr(obj, attr)
+    assert _parameters(obj) == SIGNATURES[name]
+
+
+def test_every_public_function_is_pinned():
+    callables = {name for name in EXPORTS if callable(getattr(qschubert, name))}
+    # exception classes and type aliases have no signature of their own
+    assert callables - set(SIGNATURES) == {"ContractViolation", "Partition"}
+
+
+# Each entry point, called with one bad partition in place of its first
+# partition argument, and a partition that is well formed but indexes no
+# class there (a type A box is 2 x 2; an isotropic or e-basis bound is
+# n = 2).  qtilde_epoly is defined on every partition and vanishes above n.
+ENTRY_POINTS = [
+    ("quantum_pieri_a", lambda lam: qschubert.quantum_pieri_a(lam, 1, 2, 2), (3,)),
+    ("quantum_pieri_lg", lambda lam: qschubert.quantum_pieri_lg(lam, 1, 2), (2, 2)),
+    ("quantum_pieri_og", lambda lam: qschubert.quantum_pieri_og(lam, 1, 2), (2, 2)),
+    ("quantum_product_a", lambda lam: qschubert.quantum_product_a((1,), lam, 2, 2), (3,)),
+    ("quantum_product_lg", lambda lam: qschubert.quantum_product_lg((1,), lam, 2), (2, 2)),
+    ("quantum_product_og", lambda lam: qschubert.quantum_product_og((1,), lam, 2), (3,)),
+    ("quantum_product_lg_pfaffian",
+     lambda lam: qschubert.isotropic.quantum_product_lg_pfaffian((1,), lam, 2), (2, 2)),
+    ("quantum_product_og_pfaffian",
+     lambda lam: qschubert.isotropic.quantum_product_og_pfaffian((1,), lam, 2), (3,)),
+    ("gw_a", lambda lam: qschubert.gw_a((1,), (1,), lam, 0, 2, 2), (1, 1, 1)),
+    ("gw_a_puzzle", lambda lam: qschubert.gw_a_puzzle((1,), (1,), lam, 0, 2, 2), (3,)),
+    ("gw_lg", lambda lam: qschubert.gw_lg((1,), (1,), lam, 0, 2), (1, 1)),
+    ("gw_og", lambda lam: qschubert.gw_og((1,), (1,), lam, 0, 2), (3,)),
+    ("giambelli_monomials", lambda lam: qschubert.giambelli_monomials(lam, 2, 2), (3,)),
+    ("QHElement", lambda lam: qschubert.QHElement(2, 2, {(lam, 0): 1}), (3,)),
+    ("IsoQHElement", lambda lam: qschubert.IsoQHElement("OG", 2, {(lam, 0): 1}), (2, 2)),
+    ("EPoly", lambda lam: EPoly(2, {lam: 1}), (3,)),
+    ("EPoly.monomial", lambda lam: EPoly.monomial(2, lam), (3, 1)),
+    ("qtilde_epoly", lambda lam: qschubert.qtilde_epoly(lam, 2), None),
+    ("qtilde_structure", lambda lam: qschubert.qtilde_structure((1,), lam, 2), (3,)),
+]
+
+
+def _cases():
+    for name, call, out_of_range in ENTRY_POINTS:
+        yield pytest.param(call, (1, 2), id=f"{name}-increasing")
+        yield pytest.param(call, (2, -1), id=f"{name}-negative")
+        if out_of_range is not None:
+            yield pytest.param(call, out_of_range, id=f"{name}-out-of-range")
+
+
+@pytest.mark.parametrize("call, bad", list(_cases()))
+def test_entry_points_reject_bad_partitions(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)

@@ -139,3 +139,64 @@ def test_main_prints(capsys):
     assert cli.main(["puzzle", "--type", "2step", "--nw", "102021",
                      "--ne", "102021", "--s", "010212"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_engine_version_is_the_package_version():
+    import qschubert
+    assert cli.ENGINE_VERSION == qschubert.__version__
+
+
+def test_lr_without_m_is_a_usage_error():
+    code, _ = run("lr", "--n", "2", "--lambda", "1", "--mu", "1", "--nu", "1,1")
+    assert code == 2
+
+
+def test_m_on_isotropic_spaces_is_a_usage_error():
+    for space in ("LG", "OG"):
+        code, _ = run("qprod", "--space", space, "--m", "2", "--n", "2",
+                      "--lambda", "1", "--mu", "1")
+        assert code == 2
+        code, _ = run("gw", "--space", space, "--m", "2", "--n", "2",
+                      "--lambda", "1", "--mu", "1", "--nu", "1", "--d", "0")
+        assert code == 2
+
+
+def test_negative_sizes_are_domain_errors():
+    for m, n in (("2", "-1"), ("-1", "2")):
+        code, _ = run("qprod", "--space", "A", "--m", m, "--n", n,
+                      "--lambda", "", "--mu", "")
+        assert code == 1
+    code, _ = run("qprod", "--space", "LG", "--n", "-1", "--lambda", "", "--mu", "")
+    assert code == 1
+
+
+def test_gw_methods_select_a_route_or_are_rejected():
+    triples = {"A": ("--m", "3", "--n", "3", "--lambda", "3,2,1", "--mu", "3,2,1",
+                     "--nu", "2,1", "--d", "1"),
+               "LG": ("--n", "2", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1",
+                      "--d", "2"),
+               "OG": ("--n", "2", "--lambda", "2,1", "--mu", "", "--nu", "", "--d", "0")}
+    accepted = {"A": ("pieri", "puzzle"), "LG": ("qtilde", "pieri"),
+                "OG": ("qtilde", "pieri", "duality")}
+    for space, args in triples.items():
+        default = run("gw", "--space", space, *args)
+        assert default[0] == 0
+        for method in ("pieri", "qtilde", "puzzle", "duality"):
+            got = run("gw", "--space", space, *args, "--method", method)
+            assert got == (default if method in accepted[space] else (2, got[1]))
+
+
+def test_pieri_method_on_isotropic_spaces_is_the_fold(monkeypatch):
+    from qschubert import isotropic
+
+    def unavailable(*args):
+        raise AssertionError("the e-basis route was used")
+
+    monkeypatch.setattr(isotropic, "qtilde_structure", unavailable)
+    monkeypatch.setattr(isotropic, "ptilde_structure", unavailable)
+    code, out = run("gw", "--space", "LG", "--n", "2", "--lambda", "2,1",
+                    "--mu", "2,1", "--nu", "2,1", "--d", "2", "--method", "pieri")
+    assert (code, out) == (0, "1")
+    code, out = run("gw", "--space", "OG", "--n", "2", "--lambda", "2,1",
+                    "--mu", "", "--nu", "", "--d", "0", "--method", "pieri")
+    assert (code, out) == (0, "1")
