@@ -9,8 +9,9 @@ identical bytes.  Exit codes: 0 success, 1 domain error, 2 usage error,
 
 Product-shaped results can be cached in a line-delimited file of JSON
 records keyed by a hash of the query and the engine version; stale
-versions are ignored.  The location comes from ``--cache``, falling back
-to the ``QSCHUBERT_CACHE`` environment variable.
+versions and unreadable records are misses.  The location comes from
+``--cache``, falling back to the ``QSCHUBERT_CACHE`` environment
+variable.
 """
 
 from __future__ import annotations
@@ -60,7 +61,17 @@ def _cache_key(query: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_lookup(path: str | None, key: str):
+def _cached_coeffs(entries, space: Space) -> dict:
+    """The coefficients of a cached result, each entry checked as a caller's."""
+    coeffs = {}
+    for nu, d, c in entries:
+        if type(d) is not int or type(c) is not int or d < 0:
+            raise ValueError(f"unreadable cache entry {[nu, d, c]!r}")
+        coeffs[(space.check(nu), d)] = c
+    return coeffs
+
+
+def _cache_lookup(path: str | None, key: str, space: Space):
     if not path or not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
@@ -70,10 +81,10 @@ def _cache_lookup(path: str | None, key: str):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if record.get("key") == key and record.get("version") == ENGINE_VERSION:
-                return {(partition(nu), d): c for nu, d, c in record["result"]}
+                if record.get("key") == key and record.get("version") == ENGINE_VERSION:
+                    return _cached_coeffs(record["result"], space)
+            except (AttributeError, KeyError, TypeError, ValueError):
+                continue  # an unreadable record is a miss
     return None
 
 
@@ -108,7 +119,7 @@ def _cmd_qprod(args, space: Space) -> str:
              "lambda": list(lam), "mu": list(mu)}
     cache_path = args.cache or os.environ.get("QSCHUBERT_CACHE")
     key = _cache_key(query)
-    coeffs = _cache_lookup(cache_path, key)
+    coeffs = _cache_lookup(cache_path, key, space)
     if coeffs is None:
         coeffs = _PRODUCTS[space.kind](space, lam, mu).coeffs
         _cache_store(cache_path, key, coeffs)
@@ -210,6 +221,8 @@ def _cmd_verify(args) -> tuple[int, str]:
         report = suite(**kwargs)
     except TypeError as exc:
         return 2, f"bad bounds for suite {args.suite}: {exc}"
+    if report.checked == 0:
+        return 1, f"error: suite {args.suite} made no checks within these bounds"
     if report.ok:
         return 0, f"PASS ({report.checked} checks)"
     first = report.failures[0] if report.failures else "unknown"

@@ -317,13 +317,6 @@ def presentation_report_isotropic(flavor: str, n: int) -> Report:
     return Report(ok=not failures, checked=checked, failures=failures)
 
 
-def clear_caches():
-    for fn in (_pieri_lg, _pieri_og, _two_row_terms, _pfaffian_terms,
-               _product_lg, _product_og):
-        fn.cache_clear()
-    ring.clear_caches()
-
-
 for _kind, _pieri in ((LG, _pieri_lg), (OG, _pieri_og)):
     ring.PIERI[_kind] = _pieri
     ring.GIAMBELLI[_kind] = _pfaffian_terms

@@ -27,7 +27,9 @@ which also checks the counts against the independent Pieri-based route.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import lru_cache
 
+from . import ring
 from .combinat import ALPHABET_01, ALPHABET_012, LabelString
 
 _UP_PATTERNS_1 = [
@@ -73,28 +75,28 @@ _UP_PATTERNS_2, _DOWN_PATTERNS_2 = _build_2step()
 
 def _index(ups, downs):
     by_left = defaultdict(tuple)
+    right_of = {}
     for left, right, bottom in ups:
         by_left[left] += ((right, bottom),)
+        if (left, bottom) in right_of:
+            raise AssertionError(f"ambiguous upward piece at {(left, bottom)}")
+        right_of[(left, bottom)] = right
     by_top_left = {}
     for top, left, right in downs:
         key = (top, left)
         if key in by_top_left:
             raise AssertionError(f"ambiguous downward piece at {key}")
         by_top_left[key] = right
-    return dict(by_left), by_top_left
+    return dict(by_left), by_top_left, right_of
 
 _TABLES = {
     "1step": _index(_UP_PATTERNS_1, _DOWN_PATTERNS_1),
     "2step": _index(_UP_PATTERNS_2, _DOWN_PATTERNS_2),
 }
-
-_row_cache: dict[tuple, tuple] = {}
-_count_cache: dict[tuple, int] = {}
-
-# caches never change results; they are dropped wholesale when oversized
-_CACHE_LIMIT = 2_000_000
+_ALPHABETS = {"1step": ALPHABET_01, "2step": ALPHABET_012}
 
 
+@lru_cache(maxsize=None)
 def _row_fillings(kind, top, left0, right_req, bottom_req):
     """All ways to fill one row given the bottom labels of the row above.
 
@@ -102,11 +104,7 @@ def _row_fillings(kind, top, left0, right_req, bottom_req):
     outer NW edge is ``left0`` and its outer NE edge must be
     ``right_req``.  Returns the tuple of possible bottom-label rows.
     """
-    key = (kind, top, left0, right_req, bottom_req)
-    hit = _row_cache.get(key)
-    if hit is not None:
-        return hit
-    ups, downs = _TABLES[kind]
+    ups, downs, _ = _TABLES[kind]
     r = len(top) + 1
     out = []
 
@@ -123,25 +121,20 @@ def _row_fillings(kind, top, left0, right_req, bottom_req):
                     rec(j + 1, nxt, acc + (bottom,))
 
     rec(0, left0, ())
-    result = tuple(out)
-    if len(_row_cache) >= _CACHE_LIMIT:
-        _row_cache.clear()
-    _row_cache[key] = result
-    return result
+    return tuple(out)
+
+
+def _rows(nw: str, ne: str, s: str):
+    """Each row's outer labels, top row first: (left0, right_req, bottom_req)."""
+    n = len(nw)
+    target = tuple(reversed(s))
+    for r in range(1, n + 1):
+        yield nw[n - r], ne[r - 1], target if r == n else None
 
 
 def _count(nw: str, ne: str, s: str, kind: str) -> int:
-    key = (kind, nw, ne, s)
-    hit = _count_cache.get(key)
-    if hit is not None:
-        return hit
-    n = len(nw)
-    target = tuple(reversed(s))
     frontiers = {(): 1}
-    for r in range(1, n + 1):
-        left0 = nw[n - r]
-        right_req = ne[r - 1]
-        bottom_req = target if r == n else None
+    for left0, right_req, bottom_req in _rows(nw, ne, s):
         new: dict[tuple, int] = defaultdict(int)
         for top, cnt in frontiers.items():
             for bottoms in _row_fillings(kind, top, left0, right_req, bottom_req):
@@ -149,11 +142,7 @@ def _count(nw: str, ne: str, s: str, kind: str) -> int:
         frontiers = new
         if not frontiers:
             break
-    result = frontiers.get(target, 0)
-    if len(_count_cache) >= _CACHE_LIMIT:
-        _count_cache.clear()
-    _count_cache[key] = result
-    return result
+    return frontiers.get(tuple(reversed(s)), 0)
 
 
 def _as_text(s, alphabet: str) -> str:
@@ -167,67 +156,60 @@ def _as_text(s, alphabet: str) -> str:
     return text
 
 
-def count_puzzles_1step(nw, ne, s) -> int:
-    """Number of 1-step puzzles with the given clockwise boundary 01-strings."""
-    a, b, c = (_as_text(x, ALPHABET_01) for x in (nw, ne, s))
+def _boundary(nw, ne, s, kind: str) -> tuple[str, str, str]:
+    """Check a caller's boundary: the kind's alphabet, equal lengths, and
+    for 2-step puzzles equal symbol multiplicities on the three sides."""
+    if kind not in _ALPHABETS:
+        raise ValueError(f"unknown puzzle kind {kind!r}")
+    alphabet = _ALPHABETS[kind]
+    a, b, c = (_as_text(x, alphabet) for x in (nw, ne, s))
     if not (len(a) == len(b) == len(c)):
         raise ValueError("boundary strings must have equal length")
-    return _count(a, b, c, "1step")
+    if kind == "2step":
+        for symbol in alphabet:
+            if not (a.count(symbol) == b.count(symbol) == c.count(symbol)):
+                raise ValueError(f"sides disagree on the multiplicity of {symbol!r}")
+    return a, b, c
+
+
+def count_puzzles_1step(nw, ne, s) -> int:
+    """Number of 1-step puzzles with the given clockwise boundary 01-strings."""
+    return _count(*_boundary(nw, ne, s, "1step"), "1step")
 
 
 def count_puzzles_2step(nw, ne, s) -> int:
     """Number of 2-step puzzles with the given clockwise boundary 012-strings."""
-    a, b, c = (_as_text(x, ALPHABET_012) for x in (nw, ne, s))
-    if not (len(a) == len(b) == len(c)):
-        raise ValueError("boundary strings must have equal length")
-    for symbol in "012":
-        if not (a.count(symbol) == b.count(symbol) == c.count(symbol)):
-            raise ValueError(f"sides disagree on the multiplicity of {symbol!r}")
-    return _count(a, b, c, "2step")
+    return _count(*_boundary(nw, ne, s, "2step"), "2step")
 
 
-def dump_fillings(nw, ne, s, kind="1step", limit=None):
+def dump_fillings(nw, ne, s, kind="1step"):
     """Plain-text cell dump of complete fillings, for debugging.
 
     Returns one list of row strings per filling, each row listing its
     upward triangles as left/right/bottom label triples.
     """
-    nw, ne, s = str(nw), str(ne), str(s)
-    ups, downs = _TABLES[kind]
-    n = len(nw)
+    nw, ne, s = _boundary(nw, ne, s, kind)
+    _, downs, right_of = _TABLES[kind]
+    rows = list(_rows(nw, ne, s))
     results = []
 
-    def fill_row(r, top, rows):
-        left0 = nw[n - r]
-        right_req = ne[r - 1]
-        bottom_req = tuple(reversed(s)) if r == n else None
+    def walk(i, top, dumped):
+        if i == len(rows):
+            results.append(dumped)
+            return
+        left0, right_req, bottom_req = rows[i]
+        for bottoms in _row_fillings(kind, top, left0, right_req, bottom_req):
+            cells = []
+            left = left0
+            for j, bottom in enumerate(bottoms):
+                right = right_of[(left, bottom)]
+                cells.append(f"{left}{right}{bottom}")
+                if j < len(top):
+                    left = downs[(top[j], right)]
+            walk(i + 1, bottoms, dumped + [" ".join(cells)])
 
-        def rec(j, left, acc):
-            for right, bottom in ups.get(left, ()):
-                if bottom_req is not None and bottom != bottom_req[j]:
-                    continue
-                cell = f"{left}{right}{bottom}"
-                if j == r - 1:
-                    if right == right_req:
-                        advance(r, tuple(x[2] for x in acc + (cell,)),
-                                rows + [" ".join(acc + (cell,))])
-                else:
-                    nxt = downs.get((top[j], right))
-                    if nxt is not None:
-                        rec(j + 1, nxt, acc + (cell,))
-
-        rec(0, left0, ())
-
-    def advance(r, bottoms, rows):
-        if r == n:
-            results.append(rows)
-        elif limit is None or len(results) < limit:
-            fill_row(r + 1, bottoms, rows)
-
-    fill_row(1, (), [])
-    return results[:limit] if limit is not None else results
+    walk(0, (), [])
+    return results
 
 
-def clear_caches():
-    _row_cache.clear()
-    _count_cache.clear()
+clear_caches = ring.clear_caches

@@ -277,8 +277,3 @@ def qtilde_pieri(lam, p: int, n: int) -> dict[Partition, int]:
         _, off = skew_component_stats(lam, mu)
         out[mu] = 1 << off
     return out
-
-
-def clear_caches():
-    for fn in (_pair_epoly, _qtilde, _transition):
-        fn.cache_clear()

@@ -9,10 +9,14 @@ folding one through the other gives products and invariants.  A
 Input is validated once, where it enters through a public function
 (:meth:`Space.check`, the element constructors).  What the engine builds
 itself is trusted and only has its zero coefficients dropped.
+
+Memos are unbounded ``functools.lru_cache``s, put only on functions whose
+results the workloads reuse; :func:`clear_caches` empties all of them.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -143,8 +147,8 @@ class Element:
         return (isinstance(other, Element) and self.space == other.space
                 and self.coeffs == other.coeffs)
 
-    def text(self, symbol: str | None = None) -> str:
-        symbol = symbol or self.space.symbol
+    def text(self) -> str:
+        symbol = self.space.symbol
         if not self.coeffs:
             return "0"
         parts = []
@@ -239,5 +243,10 @@ def gw(space: Space, lam, mu, nu, d: int, product: Callable) -> int:
 
 
 def clear_caches():
-    fold.cache_clear()
-    giambelli_fold.cache_clear()
+    """Empty every in-process memo: each ``lru_cache`` bound in a loaded
+    ``qschubert`` module."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.partition(".")[0] == "qschubert":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()

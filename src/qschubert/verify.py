@@ -19,6 +19,8 @@ from .ring import LG, OG, Space
 from .typea import Report
 
 _MAX_FAILURES = 5
+# G(m, N) up to this N also get the classical 1-step puzzle check
+_MAX_CLASSICAL_N = 8
 
 
 def _note(report: Report, message: str):
@@ -59,12 +61,12 @@ def _graded_triples(classes: list, m: int, n: int):
                     yield d, lam, mu, nu
 
 
-def suite_puzzle_conjecture(max_N: int = 8, max_classical_N: int = 8) -> Report:
+def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     """Puzzle counts versus the Pieri-fold route.
 
     For every G(m, N) with N <= max_N and every degree-matching triple
     (lam, mu, nu, d), the 2-step puzzle count over the degree-d strings
-    must equal the quantum-product coefficient.  For N <= max_classical_N
+    must equal the quantum-product coefficient.  For N <= _MAX_CLASSICAL_N
     the classical 1-step count is additionally compared on all ordered
     triples, including degree-mismatched ones (both sides zero).
     """
@@ -73,7 +75,7 @@ def suite_puzzle_conjecture(max_N: int = 8, max_classical_N: int = 8) -> Report:
         for m in range(1, N):
             n = N - m
             classes = partitions_in_box(m, n)
-            if N <= max_classical_N:
+            if N <= _MAX_CLASSICAL_N:
                 strings = {lam: to_01_string(lam, m, n) for lam in classes}
                 for lam in classes:
                     for mu in classes:

@@ -1,7 +1,11 @@
-"""The public interface: exported names, signatures, and the validation
-every public entry point applies to caller-supplied partitions."""
+"""The public interface: exported names, signatures, the validation
+every public entry point applies to caller-supplied partitions, and the
+names the benchmark harness binds."""
 
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +139,11 @@ def _cases():
 def test_entry_points_reject_bad_partitions(call, bad):
     with pytest.raises(ValueError):
         call(bad)
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark wraps engine functions by name; unbinding one fails here
+    selftest = Path(__file__).resolve().parents[1] / "bench" / "selftest.py"
+    done = subprocess.run([sys.executable, str(selftest)], capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -130,6 +130,31 @@ def test_cache_ignores_stale_versions(tmp_path):
     assert run(*args) == expected
 
 
+def test_unreadable_cache_records_are_misses(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    args = ("qprod", "--space", "A", "--m", "2", "--n", "2",
+            "--lambda", "1", "--mu", "1", "--cache", str(cache))
+    expected = run(*args)
+    key = json.loads(cache.read_text())["key"]
+    for broken in ({"key": key, "version": cli.ENGINE_VERSION},
+                   {"key": key, "version": cli.ENGINE_VERSION, "result": [[[1], 0]]},
+                   {"key": key, "version": cli.ENGINE_VERSION, "result": [[[1, 2], 0, 1]]},
+                   {"key": key, "version": cli.ENGINE_VERSION, "result": [[[1, 1], 0, "x"]]},
+                   {"key": key, "version": cli.ENGINE_VERSION, "result": [[[3], 0, 1]]},
+                   {"key": key, "version": cli.ENGINE_VERSION, "result": [[[2], -1, 1]]},
+                   [key]):
+        cache.write_text(json.dumps(broken) + "\n")
+        assert run(*args) == expected
+        # the recomputed result is appended and then served
+        assert json.loads(cache.read_text().splitlines()[-1])["key"] == key
+        assert run(*args) == expected
+
+
+def test_verify_with_no_checks_fails():
+    code, out = run("verify", "--suite", "puzzle-conjecture", "--max-N", "-3")
+    assert code == 1 and "no checks" in out
+
+
 def test_verify_command_smoke():
     code, out = run("verify", "--suite", "line-numbers", "--max-n", "2")
     assert code == 0 and out.startswith("PASS")

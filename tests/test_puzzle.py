@@ -206,7 +206,21 @@ def test_parallel_counts_independent_of_schedule():
 
 def test_dump_fillings_agrees_with_count():
     fillings = P.dump_fillings("101", "101", "011", kind="1step")
-    assert len(fillings) == 1
-    assert len(fillings[0]) == 3
+    assert fillings == [["111", "0x1 000", "111 111 x10"]]
     fillings = P.dump_fillings("102021", "102021", "010212", kind="2step")
     assert len(fillings) == 2
+    assert fillings[0][-1] == "1c2 111 ad2 a10 111 a10"
+    for m, n in ((1, 2), (2, 2), (2, 3), (3, 2)):
+        classes = C.partitions_in_box(m, n)
+        ones = [C.to_01_string(lam, m, n) for lam in classes]
+        for boundary in product(ones, repeat=3):
+            assert len(P.dump_fillings(*boundary)) == P.count_puzzles_1step(*boundary)
+        for d in range(1, min(m, n) + 1):
+            twos = [C.jd_string(lam, m, n, d) for lam in classes]
+            for boundary in product(twos, repeat=3):
+                assert (len(P.dump_fillings(*boundary, kind="2step"))
+                        == P.count_puzzles_2step(*boundary))
+    for bad in (("abc", "101", "011", "1step"), ("101", "101", "01", "1step"),
+                ("012", "012", "011", "2step"), ("01", "01", "10", "3step")):
+        with pytest.raises(ValueError):
+            P.dump_fillings(*bad)
