@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
 
 from . import __version__, isotropic, puzzle, ring, typea, verify
 from .combinat import (grassmann_permutation, jd_string, partition,
-                       rect_dual, to_01_string)
+                       to_01_string, word_01)
 from .qpoly import ContractViolation
 from .ring import A, LG, OG, Space
 
@@ -106,42 +107,45 @@ def _space(args) -> Space:
     return Space.of(kind, args.m, args.n)
 
 
-_PRODUCTS = {
-    A: lambda s, *x: typea.quantum_product_a(*x, s.m, s.n),
-    LG: lambda s, *x: isotropic.quantum_product_lg(*x, s.n),
-    OG: lambda s, *x: isotropic.quantum_product_og(*x, s.n),
-}
+def _classes(space: Space, *texts: str):
+    """Parse every partition argument, then check each once in the space."""
+    return [space.check(lam) for lam in [parse_partition(x) for x in texts]]
 
 
 def _cmd_qprod(args, space: Space) -> str:
-    lam, mu = parse_partition(args.lam), parse_partition(args.mu)
+    lam, mu = _classes(space, args.lam, args.mu)
     query = {"cmd": "qprod", "space": args.space, "m": args.m, "n": args.n,
              "lambda": list(lam), "mu": list(mu)}
     cache_path = args.cache or os.environ.get("QSCHUBERT_CACHE")
     key = _cache_key(query)
     coeffs = _cache_lookup(cache_path, key, space)
     if coeffs is None:
-        coeffs = _PRODUCTS[space.kind](space, lam, mu).coeffs
+        coeffs = space.element(ring.PRODUCT[space.kind](space, lam, mu)).coeffs
         _cache_store(cache_path, key, coeffs)
     if args.format == "json":
         return _result_json(query, coeffs)
-    return ring.Element(space, coeffs).text()
+    return space.element(coeffs).text()
 
 
 def _gw_by_duality(space: Space, lam, mu, nu, d: int) -> int:
-    report = isotropic.duality_check(lam, mu, nu, d, space.n)
+    lg = Space.of(LG, None, space.n - 1)
+    mu, nu = lg.check(mu), lg.check(nu)
+    if not lam:
+        raise ValueError("lam must be nonzero")
+    report = isotropic.duality(space, lam, mu, nu, d)
     if not report.ok:
         raise ContractViolation("; ".join(report.failures))
     return report.data["og"]
 
 
-# The route behind every accepted (space, --method) pair.
+# The route behind every accepted (space, --method) pair, given checked
+# classes; ring.gw uses the space's production product.
 _GW_ROUTES = {
-    (A, "pieri"): lambda s, *x: typea.gw_a(*x, s.m, s.n),
-    (A, "puzzle"): lambda s, *x: typea.gw_a_puzzle(*x, s.m, s.n),
-    (LG, "qtilde"): lambda s, *x: isotropic.gw_lg(*x, s.n),
+    (A, "pieri"): ring.gw,
+    (A, "puzzle"): typea.puzzle_invariant,
+    (LG, "qtilde"): ring.gw,
     (LG, "pieri"): lambda s, *x: ring.gw(s, *x, ring.giambelli_fold),
-    (OG, "qtilde"): lambda s, *x: isotropic.gw_og(*x, s.n),
+    (OG, "qtilde"): ring.gw,
     (OG, "pieri"): lambda s, *x: ring.gw(s, *x, ring.giambelli_fold),
     (OG, "duality"): _gw_by_duality,
 }
@@ -149,11 +153,11 @@ _GW_DEFAULTS = {A: "pieri", LG: "qtilde", OG: "qtilde"}
 
 
 def _cmd_gw(args, space: Space) -> str:
-    lam, mu, nu = (parse_partition(x) for x in (args.lam, args.mu, args.nu))
     method = args.method or _GW_DEFAULTS[space.kind]
     route = _GW_ROUTES.get((space.kind, method))
     if route is None:
         raise UsageError(f"--method {method} is not available on space {space.kind}")
+    lam, mu, nu = _classes(space, args.lam, args.mu, args.nu)
     value = route(space, lam, mu, nu, args.d)
     if args.format == "json":
         query = {"cmd": "gw", "space": args.space, "m": args.m, "n": args.n,
@@ -163,13 +167,12 @@ def _cmd_gw(args, space: Space) -> str:
 
 
 def _cmd_lr(args, space: Space) -> str:
-    lam, mu, nu = (parse_partition(x) for x in (args.lam, args.mu, args.nu))
+    lam, mu, nu = _classes(space, args.lam, args.mu, args.nu)
     if args.method == "puzzle":
-        strings = [to_01_string(x, space.m, space.n)
-                   for x in (lam, mu, rect_dual(nu, space.m, space.n))]
-        value = puzzle.count_puzzles_1step(*strings)
+        strings = [word_01(x, space.m, space.n) for x in (lam, mu, space.dual(nu))]
+        value = puzzle.count(*strings, "1step")
     else:
-        value = _PRODUCTS[space.kind](space, lam, mu).coefficient(nu, 0)
+        value = ring.PRODUCT[A](space, lam, mu).get((nu, 0), 0)
     if args.format == "json":
         query = {"cmd": "lr", "m": args.m, "n": args.n, "lambda": list(lam),
                  "mu": list(mu), "nu": list(nu)}
@@ -178,10 +181,8 @@ def _cmd_lr(args, space: Space) -> str:
 
 
 def _cmd_puzzle(args) -> str:
-    if args.type == "1step":
-        value = puzzle.count_puzzles_1step(args.nw, args.ne, args.s)
-    else:
-        value = puzzle.count_puzzles_2step(args.nw, args.ne, args.s)
+    count = puzzle.count_puzzles_1step if args.type == "1step" else puzzle.count_puzzles_2step
+    value = count(args.nw, args.ne, args.s)
     if args.format == "json":
         query = {"cmd": "puzzle", "type": args.type, "nw": args.nw,
                  "ne": args.ne, "s": args.s}
@@ -210,17 +211,16 @@ def _cmd_verify(args) -> tuple[int, str]:
     suite = verify.SUITES.get(args.suite)
     if suite is None:
         return 2, f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}"
-    kwargs = {}
-    if args.max_N is not None:
-        kwargs["max_N"] = args.max_N
-    if args.max_n is not None:
-        kwargs["max_n"] = args.max_n
-    if args.max_weight is not None:
-        kwargs["max_weight"] = args.max_weight
+    kwargs = {key: getattr(args, key) for key in ("max_N", "max_n", "max_weight")
+              if getattr(args, key) is not None}
     try:
-        report = suite(**kwargs)
+        inspect.signature(suite).bind(**kwargs)
     except TypeError as exc:
         return 2, f"bad bounds for suite {args.suite}: {exc}"
+    try:
+        report = suite(**kwargs)
+    except TypeError as exc:  # the bounds fit, so the engine is at fault
+        return 3, f"internal error in suite {args.suite}: {exc}"
     if report.checked == 0:
         return 1, f"error: suite {args.suite} made no checks within these bounds"
     if report.ok:

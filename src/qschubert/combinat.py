@@ -63,6 +63,14 @@ def fits_in_box(lam: Partition, m: int, n: int) -> bool:
     return len(lam) <= m and (not lam or lam[0] <= n)
 
 
+def in_box(lam, m: int, n: int) -> Partition:
+    """Canonicalise a caller's partition and check that it fits in m x n."""
+    lam = partition(lam)
+    if not fits_in_box(lam, m, n):
+        raise ValueError(f"{lam} does not fit in a {m}x{n} rectangle")
+    return lam
+
+
 def conjugate(lam: Partition) -> Partition:
     """Transpose the Young diagram."""
     if not lam:
@@ -72,11 +80,8 @@ def conjugate(lam: Partition) -> Partition:
 
 def rect_dual(lam: Partition, m: int, n: int) -> Partition:
     """Complement of ``lam`` in the m x n rectangle, rotated 180 degrees."""
-    lam = partition(lam)
-    if not fits_in_box(lam, m, n):
-        raise ValueError(f"{lam} does not fit in a {m}x{n} rectangle")
-    padded = lam + (0,) * (m - len(lam))
-    return partition(n - padded[m - 1 - i] for i in range(m))
+    padded = in_box(lam, m, n) + (0,) * m
+    return trim(tuple(n - padded[m - 1 - i] for i in range(m)))
 
 
 def strict_dual(nu: Partition, n: int) -> Partition:
@@ -140,14 +145,16 @@ def to_01_string(lam: Partition, m: int, n: int) -> LabelString:
 
     The '0's sit at positions i + lam[m+1-i] for i = 1..m (1-indexed).
     """
-    lam = partition(lam)
-    if not fits_in_box(lam, m, n):
-        raise ValueError(f"{lam} does not fit in a {m}x{n} rectangle")
+    return LabelString(word_01(in_box(lam, m, n), m, n), ALPHABET_01)
+
+
+def word_01(lam: Partition, m: int, n: int) -> str:
+    """The symbols of :func:`to_01_string` for a partition already in the box."""
     padded = lam + (0,) * (m - len(lam))
     chars = ["1"] * (m + n)
     for i in range(1, m + 1):
         chars[i + padded[m - i] - 1] = "0"
-    return LabelString("".join(chars), ALPHABET_01)
+    return "".join(chars)
 
 
 def from_01_string(s, m: int | None = None) -> tuple[Partition, int, int]:
@@ -180,14 +187,19 @@ def jd_string(lam: Partition, m: int, n: int, d: int) -> LabelString:
     """
     if d < 0 or d > min(m, n):
         raise ValueError(f"d={d} out of range for a {m}x{n} rectangle")
-    doubled = [{"0": "0", "1": "2"}[c] for c in to_01_string(lam, m, n).symbols]
+    return LabelString(word_jd(in_box(lam, m, n), m, n, d), ALPHABET_012)
+
+
+def word_jd(lam: Partition, m: int, n: int, d: int) -> str:
+    """The symbols of :func:`jd_string` for lam in the box and 0 <= d <= min(m, n)."""
+    doubled = ["2" if c == "1" else "0" for c in word_01(lam, m, n)]
     twos = [i for i, c in enumerate(doubled) if c == "2"]
     zeros = [i for i, c in enumerate(doubled) if c == "0"]
     for i in twos[:d]:
         doubled[i] = "1"
     for i in zeros[len(zeros) - d:]:
         doubled[i] = "1"
-    return LabelString("".join(doubled), ALPHABET_012)
+    return "".join(doubled)
 
 
 def string012_to_permutation(s, a: int, b: int) -> tuple[int, ...]:
@@ -296,6 +308,24 @@ def partitions_with_parts_at_most(w: int, maxpart: int) -> list[Partition]:
     return out
 
 
+def _bounded_rows(low: tuple[int, ...], high: tuple[int, ...], excess: int):
+    """Partitions nu with low[i] <= nu[i] <= high[i] in every row and
+    |nu| = |low| + excess, for bounds under which every such row vector
+    is weakly decreasing."""
+    out = []
+    def rec(i, acc, left, room):  # room: most boxes rows i.. can take above low
+        if i == len(low):
+            out.append(trim(acc))
+            return
+        span = high[i] - low[i]
+        for extra in range(max(0, left - room + span), min(span, left) + 1):
+            rec(i + 1, acc + (low[i] + extra,), left - extra, room - span)
+    room = sum(high) - sum(low)
+    if 0 <= excess <= room:
+        rec(0, (), excess, room)
+    return out
+
+
 def horizontal_strip_additions(lam: Partition, p: int, max_part: int,
                                max_rows: int | None = None):
     """Partitions mu obtained from a canonical partition lam by adding p
@@ -303,36 +333,12 @@ def horizontal_strip_additions(lam: Partition, p: int, max_part: int,
 
     ``max_part`` bounds mu_1; ``max_rows`` bounds the number of rows.
     """
-    rows = len(lam) + 1
-    if max_rows is not None:
-        rows = min(rows, max_rows)
-    out = []
-    def rec(i, acc, remaining):
-        if i == rows:
-            if remaining == 0:
-                out.append(trim(acc))
-            return
-        low = lam[i] if i < len(lam) else 0
-        high = max_part if i == 0 else lam[i - 1]
-        high = min(high, low + remaining)
-        for mu_i in range(low, high + 1):
-            rec(i + 1, acc + (mu_i,), remaining - (mu_i - low))
-    rec(0, (), p)
-    return out
+    rows = len(lam) + 1 if max_rows is None else min(len(lam) + 1, max_rows)
+    return _bounded_rows((lam + (0,))[:rows], ((max_part,) + lam)[:rows], p)
 
 
 def horizontal_strip_removals(lam: Partition, p: int):
     """Partitions nu obtained from a canonical partition lam by removing p
     boxes, no two per column."""
-    out = []
-    def rec(i, acc, remaining):
-        if i == len(lam):
-            if remaining == 0:
-                out.append(trim(acc))
-            return
-        low = lam[i + 1] if i + 1 < len(lam) else 0
-        low = max(low, lam[i] - remaining)
-        for nu_i in range(lam[i], low - 1, -1):
-            rec(i + 1, acc + (nu_i,), remaining - (lam[i] - nu_i))
-    rec(0, (), p)
-    return out
+    low = (lam + (0,))[1:]
+    return _bounded_rows(low, lam, sum(lam) - sum(low) - p)

@@ -28,16 +28,12 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import ring
-from .combinat import (Partition, hat_map, horizontal_strip_additions,
+from .combinat import (Partition, horizontal_strip_additions,
                        horizontal_strip_removals, is_strict,
-                       skew_component_stats)
+                       skew_component_stats, trim)
 from .qpoly import ContractViolation, ptilde_structure, qtilde_structure
 from .ring import LG, OG, IsoQHElement, Space, giambelli_fold
 from .typea import Report
-
-
-def q_degree(flavor: str, n: int) -> int:
-    return Space.of(flavor, None, n).q_degree
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +185,10 @@ def _product_og(space: Space, lam: Partition, mu: Partition):
     return out
 
 
-_E_BASIS_PRODUCT = {LG: _product_lg, OG: _product_og}
-
-
 def _quantum_product(space: Space, lam, mu, cross_check: bool) -> IsoQHElement:
     lam = space.check(lam)
     mu = space.check(mu)
-    result = space.element(_E_BASIS_PRODUCT[space.kind](space, lam, mu))
+    result = space.element(ring.PRODUCT[space.kind](space, lam, mu))
     if cross_check:
         other = space.element(giambelli_fold(space, lam, mu))
         if result != other:
@@ -222,12 +215,14 @@ def quantum_product_og(lam, mu, n: int, cross_check: bool = False) -> IsoQHEleme
 
 def gw_lg(lam, mu, nu, d: int, n: int) -> int:
     """Degree-d three-point invariant on LG(n, 2n)."""
-    return ring.gw(Space.of(LG, None, n), lam, mu, nu, d, _product_lg)
+    space = Space.of(LG, None, n)
+    return ring.gw(space, *(space.check(x) for x in (lam, mu, nu)), d)
 
 
 def gw_og(lam, mu, nu, d: int, n: int) -> int:
     """Degree-d three-point invariant on OG(n+1, 2n+2)."""
-    return ring.gw(Space.of(OG, None, n), lam, mu, nu, d, _product_og)
+    space = Space.of(OG, None, n)
+    return ring.gw(space, *(space.check(x) for x in (lam, mu, nu)), d)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +233,16 @@ def line_number_check_lg(lam, mu, nu, n: int) -> Report:
     """Compare a degree-one invariant on LG(n, 2n) with half the classical
     triple intersection of the same classes on LG(n+1, 2n+2)."""
     space = Space.of(LG, None, n)
-    lam, mu, nu = (space.check(x) for x in (lam, mu, nu))
-    if sum(lam) + sum(mu) + sum(nu) != space.dim + space.q_degree:
+    return line_number(space, *(space.check(x) for x in (lam, mu, nu)))
+
+
+def line_number(space: Space, lam: Partition, mu: Partition, nu: Partition) -> Report:
+    """:func:`line_number_check_lg` of classes of ``space``."""
+    if not space.in_degree(1, lam, mu, nu):
         raise ValueError("weights do not match the degree-one condition")
-    quantum = gw_lg(lam, mu, nu, 1, n)
-    up = Space.of(LG, None, n + 1)
+    quantum = ring.gw(space, lam, mu, nu, 1)
+    n = space.n
+    up = Space(LG, None, n + 1)
     classical = _product_lg(up, lam, mu).get((up.dual(nu), 0), 0)
     if classical % 2:
         raise ContractViolation(
@@ -261,12 +261,19 @@ def duality_check(lam, mu, nu, d: int, n: int) -> Report:
     invariant of degree d equals the LG invariant of degree e of the
     complemented data; when len(lam) < 2d + 1 the OG invariant vanishes.
     """
-    lam = Space.of(OG, None, n).check(lam)
+    og = Space.of(OG, None, n)
+    lam = og.check(lam)
     lg = Space.of(LG, None, n - 1)
     mu, nu = lg.check(mu), lg.check(nu)
     if not lam:
         raise ValueError("lam must be nonzero")
-    og_value = gw_og(lam, mu, nu, d, n)
+    return duality(og, lam, mu, nu, d)
+
+
+def duality(og: Space, lam: Partition, mu: Partition, nu: Partition, d: int) -> Report:
+    """:func:`duality_check` of a nonzero class of ``og``, ``mu`` and ``nu`` of LG(n-1)."""
+    n = og.n
+    og_value = ring.gw(og, lam, mu, nu, d)
     e = len(lam) - 2 * d - 1
     if e < 0:
         ok = og_value == 0
@@ -274,7 +281,9 @@ def duality_check(lam, mu, nu, d: int, n: int) -> Report:
             f"OG invariant {og_value} nonzero for short {lam}, d={d}, n={n}"]
         return Report(ok=ok, checked=1, failures=failures,
                       data={"og": og_value, "lg": None})
-    lg_value = gw_lg(hat_map(lam, n), lg.dual(mu), lg.dual(nu), e, n - 1)
+    lg = Space(LG, None, n - 1)
+    hat = trim(tuple(n - x for x in reversed(lam)))  # combinat.hat_map
+    lg_value = ring.gw(lg, hat, lg.dual(mu), lg.dual(nu), e)
     ok = og_value == lg_value
     failures = [] if ok else [
         f"duality fails for {lam},{mu},{nu}, d={d}, n={n}: OG {og_value} vs LG {lg_value}"]
@@ -285,7 +294,7 @@ def duality_check(lam, mu, nu, d: int, n: int) -> Report:
 def _evaluate(space: Space, terms: dict) -> dict:
     """Signed q-power monomials of at most two special classes, evaluated
     with the e-basis product."""
-    product = _E_BASIS_PRODUCT[space.kind]
+    product = ring.PRODUCT[space.kind]
     return ring.combine(terms, lambda f: product(space, f[:1], f[1:]) if len(f) > 1
                         else {(f, 0): 1})
 
@@ -305,9 +314,9 @@ def presentation_report_isotropic(flavor: str, n: int) -> Report:
             failures.append(f"{flavor} relation i={i} fails at n={n}")
     checked = len(squares)
     if flavor == OG:
-        top = quantum_product_og((n,), (n,), n)
+        top = space.element(_product_og(space, (n,), (n,)))
         checked += 1
-        if top != IsoQHElement(OG, n, {((), 1): 1}):
+        if top != space.element({((), 1): 1}):
             failures.append(f"t[{n}]^2 = {top.text()} on OG, expected q")
         for i in range(2, n + 1):
             for j in range(1, i):
@@ -317,6 +326,8 @@ def presentation_report_isotropic(flavor: str, n: int) -> Report:
     return Report(ok=not failures, checked=checked, failures=failures)
 
 
-for _kind, _pieri in ((LG, _pieri_lg), (OG, _pieri_og)):
+for _kind, _pieri, _product in ((LG, _pieri_lg, _product_lg),
+                                (OG, _pieri_og, _product_og)):
     ring.PIERI[_kind] = _pieri
     ring.GIAMBELLI[_kind] = _pfaffian_terms
+    ring.PRODUCT[_kind] = _product

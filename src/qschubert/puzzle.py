@@ -132,7 +132,8 @@ def _rows(nw: str, ne: str, s: str):
         yield nw[n - r], ne[r - 1], target if r == n else None
 
 
-def _count(nw: str, ne: str, s: str, kind: str) -> int:
+def count(nw: str, ne: str, s: str, kind: str) -> int:
+    """Number of puzzles of a kind with a boundary the engine built, unchecked."""
     frontiers = {(): 1}
     for left0, right_req, bottom_req in _rows(nw, ne, s):
         new: dict[tuple, int] = defaultdict(int)
@@ -174,12 +175,12 @@ def _boundary(nw, ne, s, kind: str) -> tuple[str, str, str]:
 
 def count_puzzles_1step(nw, ne, s) -> int:
     """Number of 1-step puzzles with the given clockwise boundary 01-strings."""
-    return _count(*_boundary(nw, ne, s, "1step"), "1step")
+    return count(*_boundary(nw, ne, s, "1step"), "1step")
 
 
 def count_puzzles_2step(nw, ne, s) -> int:
     """Number of 2-step puzzles with the given clockwise boundary 012-strings."""
-    return _count(*_boundary(nw, ne, s, "2step"), "2step")
+    return count(*_boundary(nw, ne, s, "2step"), "2step")
 
 
 def dump_fillings(nw, ne, s, kind="1step"):

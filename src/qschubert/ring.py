@@ -6,9 +6,11 @@ folding one through the other gives products and invariants.  A
 :class:`Space` dispatches to its own rules, which live in
 :mod:`qschubert.typea` and :mod:`qschubert.isotropic`.
 
-Input is validated once, where it enters through a public function
-(:meth:`Space.check`, the element constructors).  What the engine builds
-itself is trusted and only has its zero coefficients dropped.
+A caller's partition is checked once, by the public function called
+(:meth:`Space.check`, the element constructors).  Engine code calls only
+trusted forms on what it built or checked, such as :func:`gw` and each
+space's production product in ``PRODUCT``, and only drops zero
+coefficients.  :meth:`Space.in_degree` is every route's degree rule.
 
 Memos are unbounded ``functools.lru_cache``s, put only on functions whose
 results the workloads reuse; :func:`clear_caches` empties all of them.
@@ -20,17 +22,18 @@ import sys
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .combinat import Partition, fits_in_box, is_strict, partition, trim
+from .combinat import Partition, in_box, is_strict, partition, trim
 
 A = "A"
 LG = "LG"
 OG = "OG"
 
-# Each space's Pieri map (space, lam, p) -> {(nu, d): c} and Giambelli
-# terms (space, lam) -> {(d, special factors): c}, registered by the
-# module that owns the rules.
+# Each space's Pieri map (space, lam, p) -> {(nu, d): c}, Giambelli terms
+# (space, lam) -> {(d, special factors): c} and production product
+# (space, lam, mu) -> {(nu, d): c}, registered by the module that owns them.
 PIERI: dict[str, Callable] = {}
 GIAMBELLI: dict[str, Callable] = {}
+PRODUCT: dict[str, Callable] = {}
 
 
 class Space(NamedTuple):
@@ -51,11 +54,10 @@ class Space(NamedTuple):
 
     def check(self, lam) -> Partition:
         """Canonicalise a partition from a caller and check that it indexes a class."""
-        lam = partition(lam)
         if self.kind == A:
-            if not fits_in_box(lam, self.m, self.n):
-                raise ValueError(f"{lam} does not fit in a {self.m}x{self.n} rectangle")
-        elif not is_strict(lam) or (lam and lam[0] > self.n):
+            return in_box(lam, self.m, self.n)
+        lam = partition(lam)
+        if not is_strict(lam) or (lam and lam[0] > self.n):
             raise ValueError(f"{lam} is not a strict partition bounded by {self.n}")
         return lam
 
@@ -70,6 +72,10 @@ class Space(NamedTuple):
         if self.kind == A:
             return self.m * self.n
         return self.n * (self.n + 1) // 2
+
+    def in_degree(self, d: int, *classes: Partition) -> bool:
+        """Whether d >= 0 and the weights of the classes add up to dim + d * q_degree."""
+        return d >= 0 and sum(map(sum, classes)) == self.dim + d * self.q_degree
 
     def dual(self, lam: Partition) -> Partition:
         """Index of the Poincare dual class of an admissible partition."""
@@ -233,12 +239,13 @@ def folded_product(space: Space, lam, mu) -> Element:
     return space.element(giambelli_fold(space, space.check(lam), space.check(mu)))
 
 
-def gw(space: Space, lam, mu, nu, d: int, product: Callable) -> int:
-    """Degree-d three-point invariant: the coefficient of q^d times the dual
-    of s[nu] in s[lam] * s[mu], as computed by ``product(space, lam, mu)``."""
-    lam, mu, nu = (space.check(x) for x in (lam, mu, nu))
-    if d < 0 or sum(lam) + sum(mu) + sum(nu) != space.dim + d * space.q_degree:
+def gw(space: Space, lam: Partition, mu: Partition, nu: Partition, d: int,
+       product: Callable | None = None) -> int:
+    """Degree-d invariant of admissible classes: the coefficient of q^d s[dual nu]
+    in ``product(space, lam, mu)``, by default the space's ``PRODUCT``."""
+    if not space.in_degree(d, lam, mu, nu):
         return 0
+    product = product or PRODUCT[space.kind]
     return product(space, lam, mu).get((space.dual(nu), d), 0)
 
 

@@ -24,14 +24,14 @@ and the invariant are shared with LG and OG in :mod:`qschubert.ring`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
 from . import puzzle, ring
-from .combinat import Partition, horizontal_strip_additions, jd_string, trim
+from .combinat import (Partition, horizontal_strip_additions,
+                       horizontal_strip_removals, trim, word_jd)
 from .combinat import partition  # noqa: F401  (the benchmark self-test reads it)
 from .ring import A, QHElement, Space, giambelli_fold
 
@@ -51,27 +51,6 @@ class SpecialMonomial(NamedTuple):
     factors: tuple[int, ...]
 
 
-def _rim_removals(lam: Partition, removed: int):
-    """Subpartitions nu with lam/nu inside the rim of lam, every row losing
-    at least one box, and |lam| - |nu| = removed."""
-    m = len(lam)
-    out = []
-
-    def rec(i, acc, remaining):
-        if i == m:
-            if remaining == 0:
-                out.append(trim(acc))
-            return
-        below = lam[i + 1] if i + 1 < m else 0
-        hi = lam[i] - 1
-        lo = max(below - 1, 0, lam[i] - remaining)
-        for nu_i in range(hi, lo - 1, -1):
-            rec(i + 1, acc + (nu_i,), remaining - (lam[i] - nu_i))
-
-    rec(0, (), removed)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pieri_map(space: Space, lam: Partition, p: int):
     m, n = space.m, space.n
@@ -79,7 +58,9 @@ def _pieri_map(space: Space, lam: Partition, p: int):
     for mu in horizontal_strip_additions(lam, p, max_part=n, max_rows=m):
         terms[(mu, 0)] = 1
     if len(lam) == m:
-        for nu in _rim_removals(lam, m + n - p):
+        # remove m + n - p boxes from the rim, at least one from every row:
+        # the first column, then a horizontal strip of n - p boxes
+        for nu in horizontal_strip_removals(trim(tuple(x - 1 for x in lam)), n - p):
             terms[(nu, 1)] = 1
     return terms
 
@@ -89,28 +70,15 @@ def quantum_pieri_a(lam, p: int, m: int, n: int) -> QHElement:
     return ring.quantum_pieri(Space.of(A, m, n), lam, p)
 
 
-def _signed_permutations(k: int):
-    for perm in permutations(range(k)):
-        inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
-        yield (-1) ** inv, perm
-
-
 def _det_factor_entries(rows: tuple[int, ...], n: int):
     """Signed special-class monomials of det(s[rows_i + j - i]), entries
     outside 0..n treated as zero, s[0] dropped from the factor list."""
     k = len(rows)
-    for sign, perm in _signed_permutations(k):
-        factors = []
-        ok = True
-        for i in range(k):
-            e = rows[i] + perm[i] - i
-            if e < 0 or e > n:
-                ok = False
-                break
-            if e > 0:
-                factors.append(e)
-        if ok:
-            yield sign, tuple(sorted(factors, reverse=True))
+    for perm in permutations(range(k)):
+        entries = [rows[i] + perm[i] - i for i in range(k)]
+        if all(0 <= e <= n for e in entries):
+            inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+            yield (-1) ** inv, tuple(sorted((e for e in entries if e), reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -158,21 +126,24 @@ def multiply_element_by_class(elem: QHElement, kappa, m: int, n: int) -> QHEleme
 
 def gw_a(lam, mu, nu, d: int, m: int, n: int) -> int:
     """Three-point genus-zero invariant of degree d on G(m, m+n)."""
-    return ring.gw(Space.of(A, m, n), lam, mu, nu, d, _fold_lighter)
+    space = Space.of(A, m, n)
+    return ring.gw(space, *(space.check(x) for x in (lam, mu, nu)), d)
 
 
 def gw_a_puzzle(lam, mu, nu, d: int, m: int, n: int) -> int:
     """The same invariant counted as 2-step puzzles over degree-d strings."""
     space = Space.of(A, m, n)
-    lam, mu, nu = (space.check(x) for x in (lam, mu, nu))
-    if d < 0 or sum(lam) + sum(mu) + sum(nu) != space.dim + d * space.q_degree:
-        warnings.warn("degree condition violated, the invariant is 0")
+    return puzzle_invariant(space, *(space.check(x) for x in (lam, mu, nu)), d)
+
+
+def puzzle_invariant(space: Space, lam: Partition, mu: Partition, nu: Partition,
+                     d: int) -> int:
+    """:func:`gw_a_puzzle` of admissible classes."""
+    m, n = space.m, space.n
+    if not space.in_degree(d, lam, mu, nu) or d > min(m, n):
+        # past min(m, n) no degree-d strings exist and the invariant vanishes
         return 0
-    if d > min(m, n):
-        # no degree-d strings exist; the invariant vanishes in this range
-        return 0
-    strings = [jd_string(x, m, n, d) for x in (lam, mu, nu)]
-    return puzzle.count_puzzles_2step(*strings)
+    return puzzle.count(*(word_jd(x, m, n, d) for x in (lam, mu, nu)), "2step")
 
 
 def dims(m: int, n: int, d: int) -> tuple[int, int]:
@@ -193,17 +164,19 @@ def presentation_report_a(m: int, n: int) -> Report:
     """
     space = Space.of(A, m, n)
     N = m + n
+    if not (m and n):
+        raise ValueError(f"G({m},{N}) is a point; there is no presentation to check")
     failures = []
     checked = 0
     for k in range(m + 1, N + 1):
         value = space.element(giambelli_fold(space, (), (1,) * k))
-        expected = QHElement(m, n, {} if k < N else {((), 1): (-1) ** (n + 1)})
+        expected = space.element({} if k < N else {((), 1): (-1) ** (n + 1)})
         checked += 1
         if value != expected:
             failures.append(f"D_{k} = {value.text()} on G({m},{N})")
-    point = quantum_product_a((n,), (1,) * m, m, n)
+    point = space.element(_fold_lighter(space, (n,), (1,) * m))
     checked += 1
-    if point != QHElement(m, n, {((), 1): 1}):
+    if point != space.element({((), 1): 1}):
         failures.append(f"s[{n}]*s[1^{m}] = {point.text()} on G({m},{N})")
     return Report(ok=not failures, checked=checked, failures=failures)
 
@@ -212,3 +185,4 @@ clear_caches = ring.clear_caches  # the benchmark's reference builder calls it h
 
 ring.PIERI[A] = _pieri_map
 ring.GIAMBELLI[A] = lambda space, lam: _det_terms(lam, space.n)
+ring.PRODUCT[A] = _fold_lighter

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from . import isotropic, puzzle, qpoly, typea
+from . import isotropic, puzzle, qpoly, ring, typea
 from .combinat import (partition, partitions_in_box,
                        partitions_with_parts_at_most,
-                       strict_partitions_max, to_01_string)
-from .ring import LG, OG, Space
+                       strict_partitions_max, word_01)
+from .ring import A, LG, OG, Space
 from .typea import Report
 
 _MAX_FAILURES = 5
@@ -74,22 +74,22 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     for N in range(2, max_N + 1):
         for m in range(1, N):
             n = N - m
+            space = Space(A, m, n)
             classes = partitions_in_box(m, n)
             if N <= _MAX_CLASSICAL_N:
-                strings = {lam: to_01_string(lam, m, n) for lam in classes}
+                strings = {lam: word_01(lam, m, n) for lam in classes}
                 for lam in classes:
                     for mu in classes:
                         for nu in classes:
-                            got = puzzle.count_puzzles_1step(
-                                strings[lam], strings[mu], strings[nu])
-                            want = typea.gw_a(lam, mu, nu, 0, m, n)
+                            got = puzzle.count(strings[lam], strings[mu], strings[nu], "1step")
+                            want = ring.gw(space, lam, mu, nu, 0)
                             report.checked += 1
                             if got != want:
                                 _note(report, f"1-step G({m},{N}) {lam},{mu},{nu}: "
                                               f"puzzle {got} != {want}")
             for d, lam, mu, nu in _graded_triples(classes, m, n):
-                got = typea.gw_a_puzzle(lam, mu, nu, d, m, n)
-                want = typea.gw_a(lam, mu, nu, d, m, n)
+                got = typea.puzzle_invariant(space, lam, mu, nu, d)
+                want = ring.gw(space, lam, mu, nu, d)
                 report.checked += 1
                 if got != want:
                     _note(report, f"G({m},{N}) d={d} {lam},{mu},{nu}: "
@@ -102,13 +102,14 @@ def suite_duality(max_n: int = 4) -> Report:
     clause for partitions shorter than 2d+1."""
     report = Report(ok=True)
     for n in range(1, max_n + 1):
+        og = Space(OG, None, n)
         lams = [x for x in strict_partitions_max(n) if x]
         smalls = strict_partitions_max(n - 1)
         for lam in lams:
             for mu in smalls:
                 for nu in smalls:
                     for d in range(0, n + 1):
-                        _absorb(report, isotropic.duality_check(lam, mu, nu, d, n))
+                        _absorb(report, isotropic.duality(og, lam, mu, nu, d))
     return report
 
 
@@ -117,14 +118,13 @@ def suite_line_numbers(max_n: int = 3) -> Report:
     size up, for every weight-matching triple."""
     report = Report(ok=True)
     for n in range(1, max_n + 1):
-        target = n * (n + 1) // 2 + n + 1
+        space = Space(LG, None, n)
         classes = strict_partitions_max(n)
         for lam in classes:
             for mu in classes:
                 for nu in classes:
-                    if sum(lam) + sum(mu) + sum(nu) != target:
-                        continue
-                    _absorb(report, isotropic.line_number_check_lg(lam, mu, nu, n))
+                    if space.in_degree(1, lam, mu, nu):
+                        _absorb(report, isotropic.line_number(space, lam, mu, nu))
     return report
 
 
@@ -240,35 +240,35 @@ def suite_symmetry(max_N: int = 7, max_n: int = 4) -> Report:
     for N in range(2, max_N + 1):
         for m in range(1, N):
             n = N - m
+            space = Space(A, m, n)
             classes = partitions_in_box(m, n)
             for lam in classes:
                 for mu in classes:
                     report.checked += 1
-                    if typea.product_second_folded(lam, mu, m, n) != \
-                            typea.product_second_folded(mu, lam, m, n):
+                    if ring.giambelli_fold(space, lam, mu) != \
+                            ring.giambelli_fold(space, mu, lam):
                         _note(report, f"commutativity fails for {lam},{mu} on G({m},{N})")
             for d, lam, mu, nu in _graded_triples(classes, m, n):
-                base = typea.gw_a(lam, mu, nu, d, m, n)
+                base = ring.gw(space, lam, mu, nu, d)
                 report.checked += 1
                 for triple in ((mu, nu, lam), (nu, lam, mu),
                                (mu, lam, nu), (lam, nu, mu), (nu, mu, lam)):
-                    if typea.gw_a(*triple, d, m, n) != base:
+                    if ring.gw(space, *triple, d) != base:
                         _note(report, f"S3 fails on G({m},{N}) d={d} {lam},{mu},{nu}")
                         break
     for n in range(1, max_n + 1):
         classes = strict_partitions_max(n)
-        spaces = [(Space.of(LG, None, n), isotropic.gw_lg),
-                  (Space.of(OG, None, n), isotropic.gw_og)]
+        spaces = (Space(LG, None, n), Space(OG, None, n))
         for lam in classes:
             for mu in classes:
                 for nu in classes:
                     total = sum(lam) + sum(mu) + sum(nu)
-                    for space, gw in spaces:
+                    for space in spaces:
                         d, rem = divmod(total - space.dim, space.q_degree)
                         if rem == 0 and d >= 0:
-                            base = gw(lam, mu, nu, d, n)
+                            base = ring.gw(space, lam, mu, nu, d)
                             report.checked += 1
-                            if any(gw(*t, d, n) != base for t in
+                            if any(ring.gw(space, *t, d) != base for t in
                                    ((mu, nu, lam), (nu, lam, mu), (mu, lam, nu))):
                                 _note(report, f"{space.kind} S3 fails at {lam},{mu},{nu}, n={n}")
     return report

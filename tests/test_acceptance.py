@@ -131,6 +131,7 @@ def test_criterion_11_property_suites():
                     prod = A.quantum_product_a(lam, mu, m, n)
                     for (nu, d), c in prod.coeffs.items():
                         assert sum(nu) + d * N == sum(lam) + sum(mu)
+                        assert d <= min(m, n), (lam, mu, m, n)
                     if len(lam) + len(mu) <= m:
                         assert all(d == 0 for (_, d) in prod.coeffs), (lam, mu, m, n)
                     if sum(lam) + sum(mu) == m * n:

@@ -225,3 +225,26 @@ def test_pieri_method_on_isotropic_spaces_is_the_fold(monkeypatch):
     code, out = run("gw", "--space", "OG", "--n", "2", "--lambda", "2,1",
                     "--mu", "", "--nu", "", "--d", "0", "--method", "pieri")
     assert (code, out) == (0, "1")
+
+
+def test_lr_checks_nu_on_both_methods():
+    for method in ("pieri", "puzzle"):
+        code, out = run("lr", "--m", "2", "--n", "2", "--lambda", "1", "--mu", "1",
+                        "--nu", "3", "--method", method)
+        assert code == 1 and "does not fit" in out
+
+
+def test_verify_bounds_outside_the_suite_signature_are_usage_errors():
+    code, out = run("verify", "--suite", "duality", "--max-N", "3")
+    assert code == 2 and out.startswith("bad bounds")
+
+
+def test_verify_type_errors_inside_a_suite_are_internal(monkeypatch):
+    from qschubert import verify
+
+    def broken(max_n: int = 4):
+        return len(max_n)  # an engine bug, not a bad bound
+
+    monkeypatch.setitem(verify.SUITES, "duality", broken)
+    code, out = run("verify", "--suite", "duality", "--max-n", "2")
+    assert code == 3 and "internal error" in out

@@ -198,3 +198,23 @@ def test_strip_helpers():
         (3, 2)}
     assert set(C.horizontal_strip_removals((3, 2), 2)) == {(3,), (2, 1)}
     assert C.horizontal_strip_additions((), 0, max_part=5) == [()]
+
+
+def _is_horizontal_strip(inner, outer):
+    padded = inner + (0,) * (len(outer) - len(inner))
+    return C.contains(inner, outer) and all(
+        outer[i + 1] <= padded[i] for i in range(len(outer) - 1))
+
+
+def test_strip_helpers_against_brute_force():
+    box = C.partitions_in_box(4, 4)
+    for lam in C.partitions_in_box(3, 3):
+        for p in range(0, 5):
+            added = C.horizontal_strip_additions(lam, p, max_part=4)
+            assert len(added) == len(set(added))
+            assert set(added) == {mu for mu in box if sum(mu) == sum(lam) + p
+                                  and _is_horizontal_strip(lam, mu)}
+            removed = C.horizontal_strip_removals(lam, p)
+            assert len(removed) == len(set(removed))
+            assert set(removed) == {nu for nu in box if sum(nu) == sum(lam) - p
+                                    and _is_horizontal_strip(nu, lam)}

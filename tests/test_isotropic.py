@@ -131,14 +131,14 @@ def test_presentation_reports():
 
 
 def test_products_emit_strict_graded_keys():
-    assert I.q_degree(I.LG, 3) == 4 and I.q_degree(I.OG, 3) == 6
+    assert I.Space(I.LG, None, 3).q_degree == 4 and I.Space(I.OG, None, 3).q_degree == 6
     for n in range(1, 4):
         classes = C.strict_partitions_max(n)
         for lam in classes:
             for mu in classes:
                 for elem in (I.quantum_product_lg(lam, mu, n),
                              I.quantum_product_og(lam, mu, n)):
-                    deg = I.q_degree(elem.flavor, n)
+                    deg = elem.space.q_degree
                     for (nu, d), c in elem.coeffs.items():
                         assert C.is_strict(nu)
                         assert sum(nu) + d * deg == sum(lam) + sum(mu)

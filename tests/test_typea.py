@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import pytest
 
@@ -33,6 +34,9 @@ def test_quantum_product_examples():
     assert A.quantum_product_a((1,), (1,), 2, 2) == E(2, 2, {
         ((2,), 0): 1, ((1, 1), 0): 1})
     assert A.quantum_product_a((2,), (1, 1), 2, 2) == E(2, 2, {((), 1): 1})
+    for m, n in [(0, 2), (2, 0)]:
+        with pytest.raises(ValueError):
+            A.presentation_report_a(m, n)
     assert A.quantum_product_a((2, 2), (), 2, 2) == E(2, 2, {((2, 2), 0): 1})
     # worked product on G(3,6)
     assert A.quantum_product_a((3, 2, 1), (2,), 3, 3) == E(3, 3, {
@@ -82,9 +86,22 @@ def test_gw_puzzle_route_examples():
     for lam, mu, nu in itertools.product(C.partitions_in_box(2, 2), repeat=3):
         if sum(lam) + sum(mu) + sum(nu) == 4:
             assert A.gw_a_puzzle(lam, mu, nu, 0, 2, 2) == A.gw_a(lam, mu, nu, 0, 2, 2)
-    with pytest.warns(UserWarning):
+    # both routes share one degree rule: a mismatch is 0, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert A.gw_a_puzzle((2, 1), (2, 1), (2, 2), 1, 2, 2) == 0
-    assert A.gw_a((2, 1), (2, 1), (2, 2), 1, 2, 2) == 0
+        assert A.gw_a((2, 1), (2, 1), (2, 2), 1, 2, 2) == 0
+
+
+def test_point_square_reaches_degree_min_m_n():
+    # no q-power above min(m, n) occurs: the puzzle route has no strings
+    # there, so both routes must agree that those invariants vanish
+    for N in (9, 10):
+        for m in range(1, N):
+            n = N - m
+            point = (n,) * m
+            degrees = {d for (_, d) in A.quantum_product_a(point, point, m, n).coeffs}
+            assert max(degrees) == min(m, n), (m, n, degrees)
 
 
 def test_presentation_reports():
@@ -93,6 +110,9 @@ def test_presentation_reports():
         assert report.ok, report.failures
     # the reported identities pin the quantum corrections
     assert A.quantum_product_a((2,), (1, 1), 2, 2) == E(2, 2, {((), 1): 1})
+    for m, n in [(0, 2), (2, 0)]:
+        with pytest.raises(ValueError):
+            A.presentation_report_a(m, n)
 
 
 def test_dims():
