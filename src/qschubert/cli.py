@@ -24,8 +24,7 @@ import os
 import sys
 
 from . import __version__, isotropic, puzzle, ring, typea, verify
-from .combinat import (grassmann_permutation, jd_string, partition,
-                       to_01_string, word_01)
+from .combinat import partition, word_01, word_jd
 from .qpoly import ContractViolation
 from .ring import A, LG, OG, Space
 
@@ -190,14 +189,17 @@ def _cmd_puzzle(args) -> str:
     return str(value)
 
 
-def _cmd_string(args) -> str:
-    lam = parse_partition(args.lam)
-    i_string = to_01_string(lam, args.m, args.n).symbols
-    w = grassmann_permutation(lam, args.m, args.n)
-    payload = {"I": i_string, "w": list(w)}
+def _cmd_string(args, space: Space) -> str:
+    (lam,) = _classes(space, args.lam)
+    m, n = space.m, space.n
+    i_string = word_01(lam, m, n)
+    w = [i + 1 for symbol in "01" for i, c in enumerate(i_string) if c == symbol]
+    payload = {"I": i_string, "w": w}
     lines = [f"I={i_string}", "w=" + ",".join(str(x) for x in w)]
     if args.d is not None:
-        j = jd_string(lam, args.m, args.n, args.d).symbols
+        if not 0 <= args.d <= min(m, n):
+            raise ValueError(f"d={args.d} out of range for a {m}x{n} rectangle")
+        j = word_jd(lam, m, n, args.d)
         payload[f"J{args.d}"] = j
         lines.append(f"J{args.d}={j}")
     if args.format == "json":
@@ -229,7 +231,7 @@ def _cmd_verify(args) -> tuple[int, str]:
     return 1, f"FAIL ({report.checked} checks) first: {first}"
 
 
-_SPACE_COMMANDS = {"qprod": _cmd_qprod, "gw": _cmd_gw, "lr": _cmd_lr}
+_SPACE_COMMANDS = {"qprod": _cmd_qprod, "gw": _cmd_gw, "lr": _cmd_lr, "string": _cmd_string}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,8 +299,6 @@ def run(argv) -> tuple[int, str]:
             return 0, _SPACE_COMMANDS[args.command](args, _space(args))
         if args.command == "puzzle":
             return 0, _cmd_puzzle(args)
-        if args.command == "string":
-            return 0, _cmd_string(args)
         if args.command == "verify":
             return _cmd_verify(args)
     except ContractViolation as exc:

@@ -225,10 +225,13 @@ def permutation_length(w: tuple[int, ...]) -> int:
 
 def skew_cells(lam: Partition, mu: Partition) -> list[tuple[int, int]]:
     """Cells of mu/lam as 1-indexed (row, column) pairs; requires lam inside mu."""
-    lam = partition(lam)
-    mu = partition(mu)
+    lam, mu = partition(lam), partition(mu)
     if not contains(lam, mu):
         raise ValueError(f"{lam} is not contained in {mu}")
+    return _skew_cells(lam, mu)
+
+
+def _skew_cells(lam: Partition, mu: Partition) -> list[tuple[int, int]]:
     padded = lam + (0,) * (len(mu) - len(lam))
     return [(i + 1, j + 1) for i in range(len(mu)) for j in range(padded[i], mu[i])]
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .combinat import (Partition, horizontal_strip_additions, is_strict,
-                       partition, partitions_with_parts_at_most,
-                       skew_component_stats)
+from .combinat import (Partition, _component_count, _skew_cells,
+                       horizontal_strip_additions, is_strict, partition,
+                       partitions_with_parts_at_most)
 
 
 class ContractViolation(RuntimeError):
@@ -164,11 +164,12 @@ def _qtilde(lam: Partition, n: int) -> EPoly:
 
 
 def qtilde_pfaffian_first_row(lam, n: int) -> EPoly:
-    """Same Pfaffian expanded along pairs containing the first entry.
+    """Same Pfaffian expanded along pairs containing the first entry, to
+    cross-check that different Laplace expansions agree."""
+    return _pfaffian_first_row(partition(lam), n)
 
-    Exists to cross-check that different Laplace expansions agree.
-    """
-    lam = partition(lam)
+
+def _pfaffian_first_row(lam: Partition, n: int) -> EPoly:
     if lam and lam[0] > n:
         return EPoly.zero(n)
     if len(lam) <= 2:
@@ -179,7 +180,7 @@ def qtilde_pfaffian_first_row(lam, n: int) -> EPoly:
     for j in range(1, r):
         rest = parts[1:j] + parts[j + 1:]
         _accumulate(total, _pair_epoly(parts[0], parts[j], n)
-                    * qtilde_pfaffian_first_row(rest, n), (-1) ** (j - 1))
+                    * _pfaffian_first_row(rest, n), (-1) ** (j - 1))
     return EPoly._of(n, total)
 
 
@@ -229,11 +230,14 @@ def expand_in_qtilde(f: EPoly, n: int) -> dict[Partition, int]:
 
 def qtilde_structure(lam, mu, n: int) -> dict[Partition, int]:
     """Structure constants of the product of two basis elements."""
-    lam = partition(lam)
-    mu = partition(mu)
+    lam, mu = partition(lam), partition(mu)
     if (lam and lam[0] > n) or (mu and mu[0] > n):
         raise ValueError(f"parts must be at most n={n}")
-    return expand_in_qtilde(qtilde_epoly(lam, n) * qtilde_epoly(mu, n), n)
+    return _structure(lam, mu, n)
+
+
+def _structure(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
+    return expand_in_qtilde(_qtilde(lam, n) * _qtilde(mu, n), n)
 
 
 def ptilde_structure(lam, mu, n: int) -> dict[Partition, int]:
@@ -272,8 +276,9 @@ def qtilde_pieri(lam, p: int, n: int) -> dict[Partition, int]:
         raise ValueError(f"{lam} is not strict")
     if not 0 <= p <= n:
         raise ValueError(f"p={p} out of range 0..{n}")
-    out = {}
-    for mu in horizontal_strip_additions(lam, p, max_part=n):
-        _, off = skew_component_stats(lam, mu)
-        out[mu] = 1 << off
-    return out
+    return _pieri(lam, p, n)
+
+
+def _pieri(lam: Partition, p: int, n: int) -> dict[Partition, int]:
+    return {mu: 1 << _component_count(_skew_cells(lam, mu))[1]
+            for mu in horizontal_strip_additions(lam, p, max_part=n)}

@@ -2,9 +2,12 @@
 
 Each ring has a quantum Pieri rule for multiplying by a special (one-row)
 class and a Giambelli formula writing any class in the special classes;
-folding one through the other gives products and invariants.  A
-:class:`Space` dispatches to its own rules, which live in
-:mod:`qschubert.typea` and :mod:`qschubert.isotropic`.
+folding one through the other (:func:`giambelli_fold`) gives products and
+invariants.  A :class:`Space` dispatches to its own rules, which live in
+:mod:`qschubert.typea` and :mod:`qschubert.isotropic`.  Each space's
+production product in ``PRODUCT`` takes another route, with the fold as
+its oracle: the e-basis constants for LG and OG, and for G(m, N) the
+Jacobi-Trudi determinant expanded row by row (memoised in ``typea``).
 
 A caller's partition is checked once, by the public function called
 (:meth:`Space.check`, the element constructors).  Engine code calls only

@@ -12,8 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import isotropic, puzzle, qpoly, ring, typea
-from .combinat import (partition, partitions_in_box,
-                       partitions_with_parts_at_most,
+from .combinat import (partitions_in_box, partitions_with_parts_at_most,
                        strict_partitions_max, word_01)
 from .ring import A, LG, OG, Space
 from .typea import Report
@@ -168,13 +167,13 @@ def suite_qtilde_properties(max_n: int = 4, max_weight: int = 12) -> Report:
     for n in range(1, max_n + 1):
         # vanishing above n
         for tail in ((), (1,), (n, 1)):
-            lam = partition((n + 1,) + tail)
+            lam = (n + 1,) + tail
             report.checked += 1
-            if not qpoly.qtilde_epoly(lam, n).is_zero():
+            if not qpoly._qtilde(lam, n).is_zero():
                 _note(report, f"nonzero value at {lam} with n={n}")
         # e_i of squared variables
         for i in range(1, n + 1):
-            got = _epoly_monomials(qpoly.qtilde_epoly((i, i), n), n)
+            got = _epoly_monomials(qpoly._qtilde((i, i), n), n)
             want = {tuple(2 * x for x in expo): c
                     for expo, c in _e_monomials(i, n).items()}
             report.checked += 1
@@ -187,22 +186,22 @@ def suite_qtilde_properties(max_n: int = 4, max_weight: int = 12) -> Report:
             if not lam:
                 continue
             report.checked += 1
-            if qpoly.expand_in_qtilde(qpoly.qtilde_epoly(lam, n), n) != {lam: 1}:
+            if qpoly.expand_in_qtilde(qpoly._qtilde(lam, n), n) != {lam: 1}:
                 _note(report, f"round-trip fails at {lam}, n={n}")
         # Pfaffian expansions along last column and first row agree
         for lam in pool:
             if len(lam) >= 3:
                 report.checked += 1
-                if qpoly.qtilde_epoly(lam, n) != qpoly.qtilde_pfaffian_first_row(lam, n):
+                if qpoly._qtilde(lam, n) != qpoly._pfaffian_first_row(lam, n):
                     _note(report, f"Pfaffian expansions differ at {lam}, n={n}")
         # factorization by repeated pairs
         for lam in pool:
             for i in range(1, n + 1):
                 if sum(lam) + 2 * i > max_weight:
                     continue
-                merged = partition(sorted(lam + (i, i), reverse=True))
-                lhs = qpoly.qtilde_epoly(merged, n)
-                rhs = qpoly.qtilde_epoly(lam, n) * qpoly.qtilde_epoly((i, i), n)
+                merged = tuple(sorted(lam + (i, i), reverse=True))
+                lhs = qpoly._qtilde(merged, n)
+                rhs = qpoly._qtilde(lam, n) * qpoly._qtilde((i, i), n)
                 report.checked += 1
                 if lhs != rhs:
                     _note(report, f"factorization fails at {lam} + ({i},{i}), n={n}")
@@ -211,17 +210,16 @@ def suite_qtilde_properties(max_n: int = 4, max_weight: int = 12) -> Report:
             for p in range(0, n + 1):
                 if sum(lam) + p > max_weight:
                     continue
-                want = {nu: c for nu, c in
-                        qpoly.qtilde_structure(lam, (p,) if p else (), n).items()}
+                want = qpoly._structure(lam, (p,) if p else (), n)
                 report.checked += 1
-                if qpoly.qtilde_pieri(lam, p, n) != want:
+                if qpoly._pieri(lam, p, n) != want:
                     _note(report, f"Pieri mismatch at {lam}, p={p}, n={n}")
         # power-of-two divisibility of quantum LG constants
         for lam in strict_partitions_max(n):
             for mu in strict_partitions_max(n):
                 if sum(lam) + sum(mu) > max_weight:
                     continue
-                for key, c in qpoly.qtilde_structure(lam, mu, n + 1).items():
+                for key, c in qpoly._structure(lam, mu, n + 1).items():
                     d = 0
                     while d < len(key) and key[d] == n + 1:
                         d += 1

@@ -18,13 +18,14 @@ def _lru_caches():
 
 def test_clear_caches_empties_every_lru_cache():
     typea.quantum_product_a((2, 1), (2, 1), 2, 3)
+    typea.product_second_folded((2, 1), (2, 1), 2, 3)
     typea.gw_a_puzzle((2, 1), (2, 1), (3, 2), 1, 2, 3)
     isotropic.quantum_product_lg((2,), (2, 1), 3, cross_check=True)
     isotropic.quantum_product_og((2,), (2, 1), 3, cross_check=True)
     caches = _lru_caches()
     assert {"qschubert.puzzle._row_fillings", "qschubert.ring.fold",
-            "qschubert.typea._det_terms", "qschubert.isotropic._product_og",
-            "qschubert.qpoly._transition"} <= set(caches)
+            "qschubert.typea._det_terms", "qschubert.typea._laplace_product",
+            "qschubert.isotropic._product_og", "qschubert.qpoly._transition"} <= set(caches)
     assert {name for name, fn in caches.items() if not fn.cache_info().currsize} == set()
     typea.clear_caches()
     assert {name for name, fn in caches.items() if fn.cache_info().currsize} == set()

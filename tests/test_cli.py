@@ -248,3 +248,23 @@ def test_verify_type_errors_inside_a_suite_are_internal(monkeypatch):
     monkeypatch.setitem(verify.SUITES, "duality", broken)
     code, out = run("verify", "--suite", "duality", "--max-n", "2")
     assert code == 3 and "internal error" in out
+
+
+def test_string_checks_its_space_and_partition_once(monkeypatch):
+    for m, n in (("2", "-1"), ("-1", "2")):
+        assert run("string", "--m", m, "--n", n, "--lambda", "0") == \
+            run("qprod", "--m", m, "--n", n, "--lambda", "0", "--mu", "0")
+    assert run("string", "--m", "-1", "--n", "2", "--lambda", "0") == \
+        (1, "error: negative size: m=-1, n=2")
+    assert run("string", "--m", "2", "--n", "2", "--lambda", "3") == \
+        (1, "error: (3,) does not fit in a 2x2 rectangle")
+    assert run("string", "--m", "2", "--n", "2", "--lambda", "1", "--d", "3") == \
+        (1, "error: d=3 out of range for a 2x2 rectangle")
+    seen = []
+    check = cli.Space.check
+    monkeypatch.setattr(cli.Space, "check", lambda s, lam: seen.append(lam) or check(s, lam))
+    code, out = run("string", "--m", "4", "--n", "5", "--lambda", "4,4,3,1", "--d", "2",
+                    "--format", "json")
+    assert code == 0 and seen == [(4, 4, 3, 1)]
+    assert json.loads(out)["result"] == {"I": "101101001", "w": [2, 5, 7, 8, 1, 3, 4, 6, 9],
+                                         "J2": "101202112"}

@@ -1,9 +1,14 @@
+import hashlib
 import itertools
+import json
+import pathlib
 import warnings
 
 import pytest
 
-from qschubert import combinat as C, typea as A
+from qschubert import combinat as C, ring, typea as A
+
+REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "typea_products.json"
 
 
 def E(m, n, coeffs):
@@ -136,6 +141,31 @@ def test_product_grading_and_duality_small():
                 if sum(lam) + sum(mu) == m * n:
                     want = 1 if C.rect_dual(lam, m, n) == mu else 0
                     assert prod.coefficient(point, 0) == want
+
+
+def test_production_product_equals_jacobi_trudi_fold():
+    """The Laplace-expanded product against its oracle, the monomial fold,
+    on every ordered pair of every G(m, N) with N <= 8."""
+    pairs = 0
+    for N in range(2, 9):
+        for m in range(1, N):
+            space = ring.Space(ring.A, m, N - m)
+            classes = C.partitions_in_box(m, N - m)
+            for lam, mu in itertools.product(classes, repeat=2):
+                pairs += 1
+                assert ring.PRODUCT[ring.A](space, lam, mu) == \
+                    ring.giambelli_fold(space, lam, mu), (space, lam, mu)
+            ring.clear_caches()
+    assert pairs == 17_560
+
+
+def test_staircase_squares_match_the_reference():
+    staircases = json.loads(REFERENCE.read_text(encoding="utf-8"))["staircases"]
+    assert [m for m, _ in staircases] == list(range(2, 8))
+    for m, want in staircases:
+        stair = tuple(range(m, 0, -1))
+        text = A.quantum_product_a(stair, stair, m, m).text()
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 def test_commutativity_with_explicit_fold_order():

@@ -1,9 +1,11 @@
 """Input is checked once: each public entry point checks each partition
 argument exactly once, and the engine's own loops check nothing."""
 
+import sys
+
 import pytest
 
-from qschubert import isotropic, ring, typea, verify
+from qschubert import combinat, isotropic, ring, typea, verify
 
 
 @pytest.fixture
@@ -28,6 +30,22 @@ def test_suites_check_no_partition(checked, suite):
     report = suite()
     assert report.ok and report.checked > 0
     assert checked == []
+
+
+def test_qtilde_suite_canonicalises_no_partition(monkeypatch):
+    seen = []
+    partition = combinat.partition
+
+    def counting(parts):
+        seen.append(parts)
+        return partition(parts)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qschubert" and getattr(module, "partition", None) is partition:
+            monkeypatch.setattr(module, "partition", counting)
+    report = verify.suite_qtilde_properties(max_n=3, max_weight=8)
+    assert report.ok and report.checked > 0
+    assert seen == []
 
 
 CALLS = [
