@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import ring
+from . import qpoly, ring
 from .combinat import (Partition, horizontal_strip_additions,
                        horizontal_strip_removals, is_strict,
                        skew_component_stats, trim)
-from .qpoly import ContractViolation, ptilde_structure, qtilde_structure
+from .qpoly import ContractViolation
 from .ring import LG, OG, IsoQHElement, Space, giambelli_fold
 from .typea import Report
 
@@ -154,7 +154,7 @@ def quantum_product_og_pfaffian(lam, mu, n: int) -> IsoQHElement:
 def _product_lg(space: Space, lam: Partition, mu: Partition):
     n = space.n
     out: dict[tuple[Partition, int], int] = {}
-    for key, c in qtilde_structure(lam, mu, n + 1).items():
+    for key, c in qpoly._structure(lam, mu, n + 1).items():
         d = 0
         while d < len(key) and key[d] == n + 1:
             d += 1
@@ -172,7 +172,7 @@ def _product_lg(space: Space, lam: Partition, mu: Partition):
 def _product_og(space: Space, lam: Partition, mu: Partition):
     n = space.n
     out: dict[tuple[Partition, int], int] = {}
-    for key, c in ptilde_structure(lam, mu, n).items():
+    for key, c in qpoly._rescaled(qpoly._structure(lam, mu, n), len(lam) + len(mu)).items():
         mult = 0
         while mult < len(key) and key[mult] == n:
             mult += 1

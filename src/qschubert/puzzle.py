@@ -22,6 +22,11 @@ contribute glues 'd' and 'e'.  An upward triangle is stored as
 table is closed under 120-degree rotation, and no reflected piece is
 present.  The tables are pinned by the golden counts in the test suite,
 which also checks the counts against the independent Pieri-based route.
+
+Counting fills the rows from the apex down with the south side free, so
+one pass (:func:`south_counts`) counts every south word; glue labels can
+reach that side, and words holding one are dropped.  Only the row
+fillings are memoised, not the counts.
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ _ALPHABETS = {"1step": ALPHABET_01, "2step": ALPHABET_012}
 
 
 @lru_cache(maxsize=None)
-def _row_fillings(kind, top, left0, right_req, bottom_req):
+def _row_fillings(kind, top, left0, right_req):
     """All ways to fill one row given the bottom labels of the row above.
 
     ``top`` has r-1 labels for a row of r upward triangles; the row's
@@ -110,8 +115,6 @@ def _row_fillings(kind, top, left0, right_req, bottom_req):
 
     def rec(j, left, acc):
         for right, bottom in ups.get(left, ()):
-            if bottom_req is not None and bottom != bottom_req[j]:
-                continue
             if j == r - 1:
                 if right == right_req:
                     out.append(acc + (bottom,))
@@ -124,26 +127,24 @@ def _row_fillings(kind, top, left0, right_req, bottom_req):
     return tuple(out)
 
 
-def _rows(nw: str, ne: str, s: str):
-    """Each row's outer labels, top row first: (left0, right_req, bottom_req)."""
-    n = len(nw)
-    target = tuple(reversed(s))
-    for r in range(1, n + 1):
-        yield nw[n - r], ne[r - 1], target if r == n else None
+def south_counts(nw: str, ne: str, kind: str) -> dict[str, int]:
+    """Puzzle counts of a kind on engine-built NW and NE sides, unchecked, per south word."""
+    frontiers = {(): 1}
+    # row r, top row first, has outer NW edge nw[-r] and outer NE edge ne[r - 1]
+    for left0, right_req in zip(reversed(nw), ne):
+        new: dict[tuple, int] = defaultdict(int)
+        for top, cnt in frontiers.items():
+            for bottoms in _row_fillings(kind, top, left0, right_req):
+                new[bottoms] += cnt
+        frontiers = new
+    alphabet = set(_ALPHABETS[kind])
+    return {"".join(reversed(bottoms)): cnt for bottoms, cnt in frontiers.items()
+            if alphabet.issuperset(bottoms)}
 
 
 def count(nw: str, ne: str, s: str, kind: str) -> int:
     """Number of puzzles of a kind with a boundary the engine built, unchecked."""
-    frontiers = {(): 1}
-    for left0, right_req, bottom_req in _rows(nw, ne, s):
-        new: dict[tuple, int] = defaultdict(int)
-        for top, cnt in frontiers.items():
-            for bottoms in _row_fillings(kind, top, left0, right_req, bottom_req):
-                new[bottoms] += cnt
-        frontiers = new
-        if not frontiers:
-            break
-    return frontiers.get(tuple(reversed(s)), 0)
+    return south_counts(nw, ne, kind).get(s, 0)
 
 
 def _as_text(s, alphabet: str) -> str:
@@ -191,15 +192,17 @@ def dump_fillings(nw, ne, s, kind="1step"):
     """
     nw, ne, s = _boundary(nw, ne, s, kind)
     _, downs, right_of = _TABLES[kind]
-    rows = list(_rows(nw, ne, s))
+    rows = list(zip(reversed(nw), ne))
+    target = tuple(reversed(s))
     results = []
 
     def walk(i, top, dumped):
         if i == len(rows):
-            results.append(dumped)
+            if top == target:
+                results.append(dumped)
             return
-        left0, right_req, bottom_req = rows[i]
-        for bottoms in _row_fillings(kind, top, left0, right_req, bottom_req):
+        left0, right_req = rows[i]
+        for bottoms in _row_fillings(kind, top, left0, right_req):
             cells = []
             left = left0
             for j, bottom in enumerate(bottoms):

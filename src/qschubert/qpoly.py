@@ -247,11 +247,14 @@ def ptilde_structure(lam, mu, n: int) -> dict[Partition, int]:
     plain ones and are always integers; a failure of divisibility means
     the engine is broken, not bad input.
     """
-    lam = partition(lam)
-    mu = partition(mu)
-    shift = len(lam) + len(mu)
+    lam, mu = partition(lam), partition(mu)
+    return _rescaled(qtilde_structure(lam, mu, n), len(lam) + len(mu))
+
+
+def _rescaled(structure: dict[Partition, int], shift: int) -> dict[Partition, int]:
+    """:func:`ptilde_structure` from the plain constants of a pair with ``shift`` parts."""
     out = {}
-    for nu, c in qtilde_structure(lam, mu, n).items():
+    for nu, c in structure.items():
         exp = len(nu) - shift
         if exp >= 0:
             out[nu] = c * (1 << exp)

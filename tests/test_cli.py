@@ -212,13 +212,12 @@ def test_gw_methods_select_a_route_or_are_rejected():
 
 
 def test_pieri_method_on_isotropic_spaces_is_the_fold(monkeypatch):
-    from qschubert import isotropic
+    from qschubert import qpoly
 
     def unavailable(*args):
         raise AssertionError("the e-basis route was used")
 
-    monkeypatch.setattr(isotropic, "qtilde_structure", unavailable)
-    monkeypatch.setattr(isotropic, "ptilde_structure", unavailable)
+    monkeypatch.setattr(qpoly, "_structure", unavailable)
     code, out = run("gw", "--space", "LG", "--n", "2", "--lambda", "2,1",
                     "--mu", "2,1", "--nu", "2,1", "--d", "2", "--method", "pieri")
     assert (code, out) == (0, "1")

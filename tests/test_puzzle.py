@@ -181,6 +181,23 @@ def test_degree_mismatch_forces_zero_2step():
                             assert P.count_puzzles_2step(x, y, w) == 0
 
 
+@pytest.mark.parametrize("kind, alphabet, max_N", [("1step", "01", 5), ("2step", "012", 3)])
+def test_south_counts_hold_the_counts_of_every_south_word(kind, alphabet, max_N):
+    # every NW/NE pair of small boundaries: the map holds no zero and no
+    # glue label, keeps the NW side's symbol multiplicities, and agrees with
+    # a filling-by-filling walk on every south word
+    for N in range(1, max_N + 1):
+        words = ["".join(t) for t in product(alphabet, repeat=N)]
+        for nw, ne in product(words, repeat=2):
+            counts = P.south_counts(nw, ne, kind)
+            assert all(counts.values())
+            assert all(sorted(s) == sorted(nw) for s in counts)
+            if N <= 3:
+                for s in words:
+                    if sorted(s) == sorted(nw) == sorted(ne):
+                        assert len(P.dump_fillings(nw, ne, s, kind)) == counts.get(s, 0)
+
+
 def test_determinism_and_cache_transparency():
     boundary = ("102021", "102021", "010212")
     first = P.count_puzzles_2step(*boundary)

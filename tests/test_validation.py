@@ -2,6 +2,7 @@
 argument exactly once, and the engine's own loops check nothing."""
 
 import sys
+from itertools import product as product_of
 
 import pytest
 
@@ -32,7 +33,9 @@ def test_suites_check_no_partition(checked, suite):
     assert checked == []
 
 
-def test_qtilde_suite_canonicalises_no_partition(monkeypatch):
+@pytest.fixture
+def canonicalised(monkeypatch):
+    """The arguments of every combinat.partition call, in order."""
     seen = []
     partition = combinat.partition
 
@@ -43,9 +46,52 @@ def test_qtilde_suite_canonicalises_no_partition(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "qschubert" and getattr(module, "partition", None) is partition:
             monkeypatch.setattr(module, "partition", counting)
+    return seen
+
+
+def test_qtilde_suite_canonicalises_no_partition(canonicalised):
     report = verify.suite_qtilde_properties(max_n=3, max_weight=8)
     assert report.ok and report.checked > 0
-    assert seen == []
+    assert canonicalised == []
+
+
+@pytest.mark.parametrize("kind", [ring.LG, ring.OG])
+def test_isotropic_products_canonicalise_no_partition(canonicalised, kind):
+    space = ring.Space(kind, None, 3)
+    classes = combinat.strict_partitions_max(3)
+    ring.clear_caches()
+    for lam in classes:
+        for mu in classes:
+            ring.PRODUCT[kind](space, lam, mu)
+    assert canonicalised == []
+
+
+def test_puzzle_suite_compares_every_coefficient(monkeypatch):
+    # one coefficient of one ordered product on G(2,4) is off by one: exactly
+    # the checks reading it fail, the 1-step one for every nu at d = 0 and
+    # the 2-step one for every degree-matching nu
+    space = ring.Space(ring.A, 2, 2)
+    classes = combinat.partitions_in_box(2, 2)
+    product = ring.PRODUCT[ring.A]
+    for lam, mu, nu in product_of(classes, repeat=3):
+        for d in range(3):
+            branches = ({"1step"} if d == 0 else set()) | (
+                {"2step"} if space.in_degree(d, lam, mu, nu) else set())
+            if not branches:
+                continue
+            key = (space.dual(nu), d)
+
+            def mutated(sp, a, b):
+                coeffs = product(sp, a, b)
+                if (sp, a, b) == (space, lam, mu):
+                    coeffs = {**coeffs, key: coeffs.get(key, 0) + 1}
+                return coeffs
+
+            monkeypatch.setitem(ring.PRODUCT, ring.A, mutated)
+            report = verify.suite_puzzle_conjecture(max_N=4)
+            assert not report.ok
+            assert sorted(f.split()[0] for f in report.failures) == sorted(branches)
+            assert all(f"{lam},{mu},{nu}:" in f for f in report.failures)
 
 
 CALLS = [
