@@ -2,7 +2,7 @@
 argument exactly once, and the engine's own loops check nothing."""
 
 import sys
-from itertools import product as product_of
+from itertools import product
 
 import pytest
 
@@ -72,8 +72,8 @@ def test_puzzle_suite_compares_every_coefficient(monkeypatch):
     # the 2-step one for every degree-matching nu
     space = ring.Space(ring.A, 2, 2)
     classes = combinat.partitions_in_box(2, 2)
-    product = ring.PRODUCT[ring.A]
-    for lam, mu, nu in product_of(classes, repeat=3):
+    exact = ring.PRODUCT[ring.A]
+    for lam, mu, nu in product(classes, repeat=3):
         for d in range(3):
             branches = ({"1step"} if d == 0 else set()) | (
                 {"2step"} if space.in_degree(d, lam, mu, nu) else set())
@@ -82,7 +82,7 @@ def test_puzzle_suite_compares_every_coefficient(monkeypatch):
             key = (space.dual(nu), d)
 
             def mutated(sp, a, b):
-                coeffs = product(sp, a, b)
+                coeffs = exact(sp, a, b)
                 if (sp, a, b) == (space, lam, mu):
                     coeffs = {**coeffs, key: coeffs.get(key, 0) + 1}
                 return coeffs
