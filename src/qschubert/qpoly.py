@@ -8,9 +8,11 @@ single subscript gives e_k itself, a pair (i, j) is defined by
 
     pf(i, j) = e_i e_j + 2 * sum_{k=1}^{n-i} (-1)^k e_{i+k} e_{j-k},
 
-and longer indices are expanded as a Pfaffian of the pair values.  These
-form a free integer basis of the ring; converting into that basis is an
-exact unitriangular solve, and the resulting structure constants carry
+and longer indices are expanded as a Pfaffian of the pair values along
+the last entry, where an odd run of equal parts leaves one term and an
+even run cancels (the ungrouped first-entry expansion is the check).
+These form a free integer basis of the ring; converting into that basis
+is an exact unitriangular solve, and the resulting structure constants carry
 the Schubert calculus of the maximal isotropic Grassmannians.
 """
 
@@ -72,7 +74,8 @@ class EPoly:
         if self.n != other.n:
             raise ValueError("mixed variable counts")
         out = dict(self.coeffs)
-        _accumulate(out, other, 1)
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v
         return EPoly._of(self.n, out)
 
     def __sub__(self, other: "EPoly") -> "EPoly":
@@ -85,10 +88,7 @@ class EPoly:
         if self.n != other.n:
             raise ValueError("mixed variable counts")
         out: dict[Partition, int] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                key = tuple(sorted(k1 + k2, reverse=True))
-                out[key] = out.get(key, 0) + c1 * c2
+        _add_product(out, self, other, 1)
         return EPoly._of(self.n, out)
 
     def __eq__(self, other) -> bool:
@@ -111,10 +111,13 @@ class EPoly:
         return f"EPoly({terms})"
 
 
-def _accumulate(total: dict[Partition, int], f: EPoly, c: int):
-    """Add c * f into a coefficient dict in place."""
-    for k, v in f.coeffs.items():
-        total[k] = total.get(k, 0) + c * v
+def _add_product(total: dict[Partition, int], f: EPoly, g: EPoly, c: int):
+    """Add c * f * g into a coefficient dict in place."""
+    for k1, c1 in f.coeffs.items():
+        c1 *= c
+        for k2, c2 in g.coeffs.items():
+            key = tuple(sorted(k1 + k2, reverse=True))
+            total[key] = total.get(key, 0) + c1 * c2
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +143,9 @@ def qtilde_epoly(lam, n: int) -> EPoly:
     Defined for arbitrary partitions; vanishes when a part exceeds n.
     Indices of length >= 3 are expanded by Pfaffian Laplace expansion
     along pairs containing the last entry, padding with a zero part when
-    the length is odd.
+    the length is odd.  An odd run of equal parts leaves the term of its
+    first position and an even run cancels; the ungrouped expansion
+    :func:`qtilde_pfaffian_first_row` is the check.
     """
     return _qtilde(partition(lam), n)
 
@@ -154,12 +159,14 @@ def _qtilde(lam: Partition, n: int) -> EPoly:
     if len(lam) == 2:
         return _pair_epoly(lam[0], lam[1], n)
     parts = lam if len(lam) % 2 == 0 else lam + (0,)
-    r = len(parts)
+    head, last = parts[:-1], parts[-1]
     total: dict[Partition, int] = {}
-    for j in range(r - 1):
-        rest = parts[:j] + parts[j + 1:r - 1]
-        _accumulate(total, _pair_epoly(parts[j], parts[r - 1], n) * _qtilde(rest, n),
-                    (-1) ** j)
+    for j, part in enumerate(head):
+        # equal parts share the pair factor and the minor, with alternating
+        # signs: an odd run leaves its first term and an even run cancels
+        if head.index(part) == j and head.count(part) % 2:
+            _add_product(total, _pair_epoly(part, last, n),
+                         _qtilde(head[:j] + head[j + 1:], n), (-1) ** j)
     return EPoly._of(n, total)
 
 
@@ -179,8 +186,8 @@ def _pfaffian_first_row(lam: Partition, n: int) -> EPoly:
     total: dict[Partition, int] = {}
     for j in range(1, r):
         rest = parts[1:j] + parts[j + 1:]
-        _accumulate(total, _pair_epoly(parts[0], parts[j], n)
-                    * _pfaffian_first_row(rest, n), (-1) ** (j - 1))
+        _add_product(total, _pair_epoly(parts[0], parts[j], n),
+                     _pfaffian_first_row(rest, n), (-1) ** (j - 1))
     return EPoly._of(n, total)
 
 

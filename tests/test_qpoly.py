@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -75,6 +76,31 @@ def test_pfaffian_expansions_agree():
             for lam in C.partitions_with_parts_at_most(w, n):
                 if len(lam) >= 3:
                     assert Q.qtilde_epoly(lam, n) == Q.qtilde_pfaffian_first_row(lam, n)
+
+
+def test_grouped_expansion_equals_the_loop_reference():
+    # the last-entry expansion with one term per position, no runs merged;
+    # n <= 5 and weight <= 20 cover every transition row the LG/OG
+    # products reach at the bench sizes
+    @lru_cache(maxsize=None)
+    def loop(lam, n):
+        if lam and lam[0] > n:
+            return Q.EPoly.zero(n)
+        if len(lam) <= 2:
+            return Q._qtilde(lam, n)
+        parts = lam if len(lam) % 2 == 0 else lam + (0,)
+        r = len(parts)
+        total = Q.EPoly.zero(n)
+        for j in range(r - 1):
+            rest = parts[:j] + parts[j + 1:r - 1]
+            total = total + (Q._pair_epoly(parts[j], parts[r - 1], n)
+                             * loop(rest, n)).scale((-1) ** j)
+        return total
+
+    for n in range(1, 6):
+        for w in range(21):
+            for lam in C.partitions_with_parts_at_most(w, n + 1):
+                assert Q._qtilde(lam, n) == loop(lam, n), (lam, n)
 
 
 def test_factorization_property():
