@@ -113,7 +113,7 @@ def test_rotation_invariance_2step():
         for tup in product("012", repeat=N):
             s = "".join(tup)
             by_class[(s.count("0"), s.count("1"), s.count("2"))].append(s)
-        for i, (_, strings) in enumerate(sorted(by_class.items())):
+        for i, strings in enumerate(by_class.values()):
             _assert_rotation_invariant("2step", strings, P.count_puzzles_2step,
                                        seed=100 * N + i)
 

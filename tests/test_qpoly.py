@@ -80,8 +80,8 @@ def test_pfaffian_expansions_agree():
 
 def test_grouped_expansion_equals_the_loop_reference():
     # the last-entry expansion with one term per position, no runs merged;
-    # n <= 5 and weight <= 20 cover every transition row the LG/OG
-    # products reach at the bench sizes
+    # n <= 5 and weight <= 20 cover every transition row of the products
+    # on LG(4,8) (n = 5) and OG(5,10) (n = 4)
     @lru_cache(maxsize=None)
     def loop(lam, n):
         if lam and lam[0] > n:
