@@ -176,6 +176,7 @@ def qtilde_pfaffian_first_row(lam, n: int) -> EPoly:
     return _pfaffian_first_row(partition(lam), n)
 
 
+@lru_cache(maxsize=None)
 def _pfaffian_first_row(lam: Partition, n: int) -> EPoly:
     if lam and lam[0] > n:
         return EPoly.zero(n)

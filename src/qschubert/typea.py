@@ -18,17 +18,20 @@ the degree-d boundary strings.
 
 This module holds what is particular to G(m, N): the quantum Pieri rule,
 the production product (the determinant Laplace-expanded row by row, one
-memo entry per unordered pair), its oracle (the determinant's monomials
-folded one by one by ``ring.giambelli_fold``), the puzzle route and the
-presentation.  The element class, the fold and the invariant are shared
-with LG and OG in :mod:`qschubert.ring`.
+memo entry per unordered pair, reading one Pieri table per class that
+holds s[lam] * s[p] for every p, with every class one shared tuple), its
+oracle (the determinant's monomials folded one by one by
+``ring.giambelli_fold`` through the per-p Pieri map, which is built apart
+from the tables), the puzzle route and the presentation.  The element
+class, the fold and the invariant are shared with LG and OG in
+:mod:`qschubert.ring`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from typing import NamedTuple
 
 from . import puzzle, ring
@@ -63,6 +66,32 @@ def _pieri_map(space: Space, lam: Partition, p: int):
         for nu in horizontal_strip_removals(trim(tuple(x - 1 for x in lam)), n - p):
             terms[(nu, 1)] = 1
     return terms
+
+
+@lru_cache(maxsize=None)
+def _class(lam: Partition) -> Partition:
+    """One shared tuple per class, for tables, Laplace states and results."""
+    return lam
+
+
+@lru_cache(maxsize=None)
+def _pieri_table(space: Space, lam: Partition):
+    """s[lam] * s[p] for every p = 0..n as (degree-0 classes, degree-1
+    classes), every coefficient 1: one pass over the horizontal strips added
+    inside the box, bucketed by size, and, for a full-length lam, one over
+    the strips removed from lam minus its first column (s boxes give p = n - s)."""
+    m, n = space.m, space.n
+    zero: list[list] = [[] for _ in range(n + 1)]
+    one: list[list] = [[] for _ in range(n + 1)]
+    base = sum(lam)
+    for mu in product(*map(range, (lam + (0,))[:m], (n + 1,) + tuple(x + 1 for x in lam))):
+        # only the last row can be zero
+        zero[sum(mu) - base].append(_class(mu[:-1] if mu and not mu[-1] else mu))
+    if len(lam) == m:
+        low = trim(tuple(x - 1 for x in lam))
+        for nu in product(*map(range, low[1:] + (0,), tuple(x + 1 for x in low))):
+            one[n - sum(low) + sum(nu)].append(_class(nu[:-1] if nu and not nu[-1] else nu))
+    return tuple(zip(map(tuple, zero), map(tuple, one)))
 
 
 def quantum_pieri_a(lam, p: int, m: int, n: int) -> QHElement:
@@ -122,18 +151,22 @@ def _laplace_product(space: Space, lam: Partition, rows: tuple[int, ...]) -> dic
     for i in range(k):
         grown: dict[int, dict] = {}
         for used, elem in states.items():
+            moves = []  # (target state, sign, p) for each column row i can take
             for j in range(max(0, low[i]), min(k, low[i] + n + 1)):
                 new = used | 1 << j
                 free = [c for c in range(k) if not new >> c & 1]
                 if new == used or any(not 0 <= c - lo <= n for c, lo in zip(free, low[i + 1:])):
                     continue
                 sign = -1 if (used >> j).bit_count() & 1 else 1  # inversions with rows above
-                target = grown.setdefault(new, {})
-                for (nu, d), c in elem.items():
-                    step = _pieri_map(space, nu, j - low[i]) if j > low[i] else {(nu, 0): 1}
-                    for (kappa, d1), c1 in step.items():
-                        key = (kappa, d + d1)
-                        target[key] = target.get(key, 0) + sign * c * c1
+                moves.append((grown.setdefault(new, {}), sign, j - low[i]))
+            for (nu, d), c in elem.items():
+                table = _pieri_table(space, nu)
+                for target, sign, p in moves:
+                    zero, one = table[p]
+                    for kappa in zero:
+                        target[kappa, d] = target.get((kappa, d), 0) + sign * c
+                    for kappa in one:
+                        target[kappa, d + 1] = target.get((kappa, d + 1), 0) + sign * c
         states = {new: {key: c for key, c in elem.items() if c} for new, elem in grown.items()}
     return states.get((1 << k) - 1, {})
 

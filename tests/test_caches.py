@@ -3,7 +3,7 @@
 
 import sys
 
-from qschubert import cli, isotropic, puzzle, ring, typea  # noqa: F401  (load every module)
+from qschubert import cli, isotropic, puzzle, qpoly, ring, typea  # noqa: F401  (load every module)
 
 
 def _lru_caches():
@@ -22,10 +22,13 @@ def test_clear_caches_empties_every_lru_cache():
     typea.gw_a_puzzle((2, 1), (2, 1), (3, 2), 1, 2, 3)
     isotropic.quantum_product_lg((2,), (2, 1), 3, cross_check=True)
     isotropic.quantum_product_og((2,), (2, 1), 3, cross_check=True)
+    qpoly.qtilde_pfaffian_first_row((3, 2, 1), 3)
     caches = _lru_caches()
     assert {"qschubert.puzzle._row_fillings", "qschubert.ring.fold",
             "qschubert.typea._det_terms", "qschubert.typea._laplace_product",
-            "qschubert.isotropic._product_og", "qschubert.qpoly._transition"} <= set(caches)
+            "qschubert.typea._pieri_table", "qschubert.typea._class",
+            "qschubert.isotropic._product_og", "qschubert.qpoly._transition",
+            "qschubert.qpoly._pfaffian_first_row"} <= set(caches)
     assert {name for name, fn in caches.items() if not fn.cache_info().currsize} == set()
     typea.clear_caches()
     assert {name for name, fn in caches.items() if fn.cache_info().currsize} == set()

@@ -159,6 +159,26 @@ def test_production_product_equals_jacobi_trudi_fold():
     assert pairs == 17_560
 
 
+def test_pieri_table_equals_the_per_p_maps():
+    """Each class's table against the per-p Pieri map, the fold's rule, for
+    every p on every G(m, N) with N <= 10, the point spaces m = 0 and
+    m = N included."""
+    pairs = 0
+    for N in range(11):
+        for m in range(N + 1):
+            space = ring.Space(ring.A, m, N - m)
+            for lam in C.partitions_in_box(m, N - m):
+                table = A._pieri_table(space, lam)
+                assert len(table) == N - m + 1
+                for p, (zero, one) in enumerate(table):
+                    keys = [(nu, 0) for nu in zero] + [(nu, 1) for nu in one]
+                    assert len(set(keys)) == len(keys), (space, lam, p)
+                    assert set(keys) == set(A._pieri_map(space, lam, p)), (space, lam, p)
+                    pairs += 1
+            ring.clear_caches()
+    assert pairs == 11_264
+
+
 def test_staircase_squares_match_the_reference():
     staircases = json.loads(REFERENCE.read_text(encoding="utf-8"))["staircases"]
     assert [m for m, _ in staircases] == list(range(2, 8))
