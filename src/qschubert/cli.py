@@ -3,9 +3,10 @@
 Commands: ``lr`` (classical structure constants), ``qprod`` (quantum
 products), ``gw`` (three-point invariants), ``puzzle`` (raw puzzle
 counts), ``string`` (boundary-string encodings), ``verify`` (batch
-suites).  Output is deterministic: identical invocations produce
-identical bytes.  Exit codes: 0 success, 1 domain error, 2 usage error,
-3 internal contract violation.
+suites; ``--format json`` prints the suite, ok, checks, failures and
+seconds).  Output is deterministic apart from those seconds: identical
+invocations produce identical bytes.  Exit codes: 0 success, 1 domain
+error, 2 usage error, 3 internal contract violation.
 
 Product-shaped results can be cached in a line-delimited file of JSON
 records keyed by a hash of the query and the engine version; stale
@@ -22,6 +23,7 @@ import inspect
 import json
 import os
 import sys
+from time import perf_counter
 
 from . import __version__, isotropic, puzzle, ring, typea, verify
 from .combinat import partition, word_01, word_jd
@@ -220,15 +222,22 @@ def _cmd_verify(args) -> tuple[int, str]:
     except TypeError as exc:
         return 2, f"bad bounds for suite {args.suite}: {exc}"
     try:
+        start = perf_counter()
         report = suite(**kwargs)
+        seconds = perf_counter() - start
     except TypeError as exc:  # the bounds fit, so the engine is at fault
         return 3, f"internal error in suite {args.suite}: {exc}"
     if report.checked == 0:
-        return 1, f"error: suite {args.suite} made no checks within these bounds"
-    if report.ok:
-        return 0, f"PASS ({report.checked} checks)"
-    first = report.failures[0] if report.failures else "unknown"
-    return 1, f"FAIL ({report.checked} checks) first: {first}"
+        code, text = 1, f"error: suite {args.suite} made no checks within these bounds"
+    elif report.ok:
+        code, text = 0, f"PASS ({report.checked} checks)"
+    else:
+        first = report.failures[0] if report.failures else "unknown"
+        code, text = 1, f"FAIL ({report.checked} checks) first: {first}"
+    if args.format == "json":  # ok exactly when the exit code is 0
+        text = json.dumps({"suite": args.suite, "ok": code == 0, "checks": report.checked,
+                           "failures": report.failures, "seconds": seconds}, sort_keys=True)
+    return code, text
 
 
 _SPACE_COMMANDS = {"qprod": _cmd_qprod, "gw": _cmd_gw, "lr": _cmd_lr, "string": _cmd_string}
@@ -283,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-N", dest="max_N", type=int, default=None)
     p.add_argument("--max-n", dest="max_n", type=int, default=None)
     p.add_argument("--max-weight", dest="max_weight", type=int, default=None)
+    p.add_argument("--format", choices=["text", "json"], default="text")
 
     return parser
 

@@ -243,7 +243,7 @@ def line_number(space: Space, lam: Partition, mu: Partition, nu: Partition) -> R
     quantum = ring.gw(space, lam, mu, nu, 1)
     n = space.n
     up = Space(LG, None, n + 1)
-    classical = _product_lg(up, lam, mu).get((up.dual(nu), 0), 0)
+    classical = ring.PRODUCT[up.kind](up, lam, mu).get((up.dual(nu), 0), 0)
     if classical % 2:
         raise ContractViolation(
             f"classical triple {classical} for {lam},{mu},{nu} is odd")
@@ -293,7 +293,7 @@ def duality(og: Space, lam: Partition, mu: Partition, nu: Partition, d: int) -> 
 
 def _evaluate(space: Space, terms: dict) -> dict:
     """Signed q-power monomials of at most two special classes, evaluated
-    with the e-basis product."""
+    with the space's production product, ``ring.PRODUCT``."""
     product = ring.PRODUCT[space.kind]
     return ring.combine(terms, lambda f: product(space, f[:1], f[1:]) if len(f) > 1
                         else {(f, 0): 1})
@@ -314,7 +314,7 @@ def presentation_report_isotropic(flavor: str, n: int) -> Report:
             failures.append(f"{flavor} relation i={i} fails at n={n}")
     checked = len(squares)
     if flavor == OG:
-        top = space.element(_product_og(space, (n,), (n,)))
+        top = space.element(ring.PRODUCT[space.kind](space, (n,), (n,)))
         checked += 1
         if top != space.element({((), 1): 1}):
             failures.append(f"t[{n}]^2 = {top.text()} on OG, expected q")

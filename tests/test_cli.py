@@ -1,6 +1,9 @@
 import json
 
-from qschubert import cli
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from qschubert import cli, verify
+from qschubert.typea import Report
 
 
 def run(*argv):
@@ -267,3 +270,101 @@ def test_string_checks_its_space_and_partition_once(monkeypatch):
     assert code == 0 and seen == [(4, 4, 3, 1)]
     assert json.loads(out)["result"] == {"I": "101101001", "w": [2, 5, 7, 8, 1, 3, 4, 6, 9],
                                          "J2": "101202112"}
+
+
+def test_verify_json_pass():
+    code, out = run("verify", "--suite", "line-numbers", "--max-n", "2", "--format", "json")
+    record = json.loads(out)
+    assert code == 0 and set(record) == {"suite", "ok", "checks", "failures", "seconds"}
+    assert record["suite"] == "line-numbers" and record["ok"] is True
+    assert record["checks"] > 0 and record["failures"] == [] and record["seconds"] >= 0
+    assert run("verify", "--suite", "line-numbers", "--max-n", "2") == \
+        (0, f"PASS ({record['checks']} checks)")
+
+
+def test_verify_json_fail(monkeypatch):
+    def failing(max_n: int = 4):
+        return Report(ok=False, checked=3, failures=["first", "second"])
+
+    monkeypatch.setitem(verify.SUITES, "duality", failing)
+    code, out = run("verify", "--suite", "duality", "--format", "json")
+    record = json.loads(out)
+    assert code == 1 and record["ok"] is False and record["checks"] == 3
+    assert record["failures"] == ["first", "second"]
+    assert run("verify", "--suite", "duality") == (1, "FAIL (3 checks) first: first")
+
+
+def test_verify_json_with_no_checks():
+    code, out = run("verify", "--suite", "puzzle-conjecture", "--max-N", "-3",
+                    "--format", "json")
+    record = json.loads(out)
+    assert code == 1 and record["ok"] is False
+    assert record["checks"] == 0 and record["failures"] == []
+
+
+def _mostly(valid, invalid):
+    """Nine draws in ten from ``valid``."""
+    return st.integers(0, 9).flatmap(lambda i: invalid if i == 0 else valid)
+
+
+_SMALL = st.integers(-1, 4).map(str)
+_PARTITION_TEXT = _mostly(
+    st.lists(st.integers(0, 5), max_size=5).map(
+        lambda xs: ",".join(map(str, sorted(xs, reverse=True)))),
+    st.sampled_from(["", "x", "1,,2", " 2, 1 ", "1,2", "3,-1"]))
+_OPTIONS = {
+    "--space": _mostly(st.sampled_from(["A", "LG", "OG"]), st.just("B")),
+    "--m": _SMALL, "--n": _SMALL,
+    "--lambda": _PARTITION_TEXT, "--mu": _PARTITION_TEXT, "--nu": _PARTITION_TEXT,
+    "--d": st.integers(-1, 3).map(str),
+    "--method": st.sampled_from(["pieri", "qtilde", "puzzle", "duality", "x"]),
+    "--format": _mostly(st.sampled_from(["text", "json"]), st.just("xml")),
+    "--type": _mostly(st.sampled_from(["1step", "2step"]), st.just("3step")),
+    "--nw": st.text("0123", max_size=6), "--ne": st.text("0123", max_size=6),
+    "--s": st.text("0123", max_size=6),
+    "--suite": _mostly(st.sampled_from(sorted(verify.SUITES)), st.just("x")),
+    "--max-N": st.integers(-1, 4).map(str), "--max-n": st.integers(-1, 2).map(str),
+    "--max-weight": st.integers(-1, 6).map(str),
+}
+# (options every call gets, options a call may get) per command
+_COMMANDS = {
+    "qprod": ("--lambda --mu", "--format"),
+    "gw": ("--lambda --mu --nu --d", "--method --format"),
+    "lr": ("--m --n --lambda --mu --nu", "--method --format"),
+    "puzzle": ("--type --nw --ne --s", "--format"),
+    "string": ("--m --n --lambda", "--d --format"),
+    "verify": ("--suite", "--max-N --max-n --max-weight --format"),
+    "nope": ("", ""),
+}
+
+
+@st.composite
+def _argv(draw, cache):
+    """A command line with the command's own options, a space and the sizes
+    it needs; one in ten misses an option, one in ten has a foreign one."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = (names.split() for names in _COMMANDS[command])
+    names = required + draw(st.lists(st.sampled_from(optional or ["--format"]), unique=True))
+    argv = [command]
+    if command in ("qprod", "gw"):
+        space = draw(st.sampled_from(["A", "LG", "OG"]))
+        argv += ["--space", space]
+        names += ["--m", "--n"] if space == "A" else ["--n"]
+    if names and draw(st.integers(0, 9)) == 0:
+        names.remove(draw(st.sampled_from(names)))
+    if draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(sorted(_OPTIONS))))
+    for name in names:
+        argv += [name, draw(_OPTIONS[name])]
+    if command == "qprod":
+        argv += ["--cache", cache]
+    return argv
+
+
+@settings(max_examples=200, deadline=5000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_run_never_raises(tmp_path, data):
+    argv = data.draw(_argv(str(tmp_path / "cache.jsonl")))
+    code, out = cli.run(argv)
+    assert code in (0, 1, 2, 3) and isinstance(out, str)

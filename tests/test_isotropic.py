@@ -40,7 +40,7 @@ def test_quantum_product_lg_examples():
 
 
 def test_lg_route_agreement_exhaustive():
-    for n in range(1, 5):
+    for n in range(1, 6):
         classes = C.strict_partitions_max(n)
         for lam in classes:
             for mu in classes:
@@ -91,7 +91,7 @@ def test_quantum_product_og_examples():
 
 
 def test_og_route_agreement_exhaustive():
-    for n in range(1, 5):
+    for n in range(1, 6):
         classes = C.strict_partitions_max(n)
         for lam in classes:
             for mu in classes:

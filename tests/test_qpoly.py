@@ -39,6 +39,74 @@ def _to_monomials(f: Q.EPoly, n: int):
     return {k: v for k, v in total.items() if v}
 
 
+# --- packed monomial keys --------------------------------------------------
+
+def _cap(n):
+    return (1 << Q._width(n)) - 1
+
+
+@st.composite
+def _monomials(draw, n, room, exact=False):
+    """Partitions with parts at most n and weight at most ``room`` (exactly
+    ``room`` when ``exact``), drawn by multiplicity from the largest part."""
+    parts = []
+    for k in range(n, 0, -1):
+        m = room if exact and k == 1 else draw(st.integers(0, room // k))
+        parts += [k] * m
+        room -= m * k
+    return tuple(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_packed_key_decodes_to_its_partition(n, data):
+    lam = data.draw(_monomials(n, _cap(n)))
+    assert Q._partition(Q._key(lam, n), n) == lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_packed_key_order_is_partition_order_within_a_weight(n, data):
+    lam = data.draw(_monomials(n, _cap(n)))
+    nu = data.draw(_monomials(n, sum(lam), exact=True))
+    assert (Q._key(lam, n) < Q._key(nu, n)) == (lam < nu)
+    assert (Q._key(lam, n) == Q._key(nu, n)) == (lam == nu)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_packed_key_sum_is_the_merged_key(n, data):
+    lam = data.draw(_monomials(n, _cap(n)))
+    mu = data.draw(_monomials(n, _cap(n) - sum(lam)))
+    merged = C.partition(sorted(lam + mu, reverse=True))
+    assert Q._key(lam, n) + Q._key(mu, n) == Q._key(merged, n)
+    product = Q.EPoly.monomial(n, lam) * Q.EPoly.monomial(n, mu)
+    assert product.coeffs == {merged: 1}
+
+
+def test_packed_key_cap_is_enforced():
+    for n in range(1, 9):
+        cap = _cap(n)
+        assert cap >= max(31, n * (n + 1))
+        ones = (1,) * cap
+        assert Q.EPoly.monomial(n, ones).coeffs == {ones: 1}
+        with pytest.raises(ValueError, match="cap"):
+            Q.EPoly.monomial(n, ones + (1,))
+        with pytest.raises(ValueError, match="cap"):
+            Q.EPoly(n, {(n,) * (cap // n + 1): 1})
+        # a product past the cap raises rather than carrying into the next digit
+        with pytest.raises(ValueError, match="cap"):
+            Q.EPoly.monomial(n, ones) * Q.EPoly.monomial(n, (1,))
+        with pytest.raises(ValueError, match="cap"):
+            Q.EPoly.monomial(n, (n,) * (cap // n)) * Q.EPoly.monomial(n, (n,))
+        with pytest.raises(ValueError, match="cap"):
+            Q.qtilde_structure(ones, (1,), n)
+        with pytest.raises(ValueError, match="cap"):
+            Q.qtilde_epoly(ones + (1, 1), n)
+    with pytest.raises(ValueError, match="cap"):
+        Q.qtilde_pfaffian_first_row((1,) * 32, 1)
+
+
 # --- basic operations -------------------------------------------------------
 
 def test_epoly_arithmetic():
