@@ -19,18 +19,25 @@ the degree-d boundary strings.
 This module holds what is particular to G(m, N): the quantum Pieri rule,
 the production product (the determinant Laplace-expanded row by row, one
 memo entry per unordered pair, reading one Pieri table per class that
-holds s[lam] * s[p] for every p, with every class one shared tuple), its
-oracle (the determinant's monomials folded one by one by
+holds s[lam] * s[p] for every p), its oracle (the determinant's monomials folded one by one by
 ``ring.giambelli_fold`` through the per-p Pieri map, which is built apart
 from the tables), the puzzle route and the presentation.  The element
 class, the fold and the invariant are shared with LG and OG in
 :mod:`qschubert.ring`.
+
+Inside the production product a class is one integer key: its parts are
+mixed-radix digits above a low field holding |lam|, so adding the keys of
+its rows builds a class and its weight at once.  A key has no degree
+field: every term of one Laplace state has the same graded weight
+|nu| + d*N, so its class fixes its degree, which is read off only where
+the product returns partitions.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -69,29 +76,65 @@ def _pieri_map(space: Space, lam: Partition, p: int):
 
 
 @lru_cache(maxsize=None)
-def _class(lam: Partition) -> Partition:
-    """One shared tuple per class, for tables, Laplace states and results."""
-    return lam
+def _layout(space: Space):
+    """The packed key of a class of G(m, N): part lam_i is the digit
+    lam_i * (n+1)^i above a low field of ``shift`` bits that holds |lam|, so
+    adding the keys of the rows, ``digits[i][lam_i]`` = lam_i * ((n+1)^i <<
+    shift | 1), adds both fields.  Table rows are 8-byte words while keys fit."""
+    m, n = space.m, space.n
+    shift = (m * n).bit_length()
+    fits = (n + 1) ** m << shift <= 1 << 63  # every key is below (n+1)^m << shift
+    return shift, tuple(tuple(x * ((n + 1) ** i << shift | 1) for x in range(n + 1))
+                        for i in range(m)), partial(array, "q") if fits else tuple
+
+
+def _key(space: Space, lam: Partition) -> int:
+    return sum(map(tuple.__getitem__, _layout(space)[1], lam))
 
 
 @lru_cache(maxsize=None)
-def _pieri_table(space: Space, lam: Partition):
-    """s[lam] * s[p] for every p = 0..n as (degree-0 classes, degree-1
-    classes), every coefficient 1: one pass over the horizontal strips added
-    inside the box, bucketed by size, and, for a full-length lam, one over
-    the strips removed from lam minus its first column (s boxes give p = n - s)."""
+def _parts(digits: int, radix: int) -> Partition:
+    """The partition of a key's digits, key >> shift, in base n + 1, memoised
+    because every product decodes its result's classes; parts are weakly
+    decreasing, so the digits end at the first zero part."""
+    parts = []
+    while digits:
+        digits, x = divmod(digits, radix)
+        parts.append(x)
+    return tuple(parts)
+
+
+def _decode(space: Space, elem: dict, weight: int) -> dict:
+    """{(nu, d): c} of {key: c}, a product of graded weight |nu| + d * N; on
+    G(0, 0), where N = 0, products expand no rows and stay in degree 0."""
+    shift, radix, N = _layout(space)[0], space.n + 1, space.m + space.n
+    mask = (1 << shift) - 1
+    return {(_parts(key >> shift, radix), (weight - (key & mask)) // N if N else 0): c
+            for key, c in elem.items()}
+
+
+@lru_cache(maxsize=None)
+def _pieri_table(space: Space, key: int):
+    """s[lam] * s[p] for every p = 0..n as one row of keys per p, lam given by
+    its key, every coefficient 1: one pass over the horizontal strips added
+    inside the box and, for a full-length lam, one over the strips removed
+    from lam minus its first column.  A key's low field gives its p, and its
+    degree is left to the grading: |nu| = |lam| + p - d * N."""
     m, n = space.m, space.n
-    zero: list[list] = [[] for _ in range(n + 1)]
-    one: list[list] = [[] for _ in range(n + 1)]
-    base = sum(lam)
-    for mu in product(*map(range, (lam + (0,))[:m], (n + 1,) + tuple(x + 1 for x in lam))):
-        # only the last row can be zero
-        zero[sum(mu) - base].append(_class(mu[:-1] if mu and not mu[-1] else mu))
-    if len(lam) == m:
-        low = trim(tuple(x - 1 for x in lam))
-        for nu in product(*map(range, low[1:] + (0,), tuple(x + 1 for x in low))):
-            one[n - sum(low) + sum(nu)].append(_class(nu[:-1] if nu and not nu[-1] else nu))
-    return tuple(zip(map(tuple, zero), map(tuple, one)))
+    shift, digits, row = _layout(space)
+    mask = (1 << shift) - 1
+    base, lam = key & mask, _parts(key >> shift, n + 1)
+    lam += (0,) * (m - len(lam))
+    rows: list[list[int]] = [[] for _ in range(n + 1)]
+    for kappa in map(sum, product(*(d[lo:hi + 1] for d, lo, hi in zip(digits, lam, (n,) + lam)))):
+        rows[(kappa & mask) - base].append(kappa)
+    if not m or lam[-1]:
+        # remove m + n - p boxes from the rim, at least one from every row:
+        # the first column, then a horizontal strip of n - p boxes
+        for kappa in map(sum, product(*(d[lo - 1:hi] for d, lo, hi
+                                        in zip(digits, lam[1:] + (1,), lam)))):
+            rows[(kappa & mask) - base + m + n].append(kappa)
+    return tuple(map(row, rows))
 
 
 def quantum_pieri_a(lam, p: int, m: int, n: int) -> QHElement:
@@ -147,7 +190,7 @@ def _laplace_product(space: Space, lam: Partition, rows: tuple[int, ...]) -> dic
     # row i takes columns low_i..low_i + n; both ends grow with i, so a state
     # lives only if its free columns, in order, fit the remaining rows in order
     low = [i - row for i, row in enumerate(rows)]
-    states = {0: {(lam, 0): 1}}  # bit mask of used columns -> element
+    states = {0: {_key(space, lam): 1}}  # bit mask of used columns -> {key: coeff}
     for i in range(k):
         grown: dict[int, dict] = {}
         for used, elem in states.items():
@@ -159,16 +202,15 @@ def _laplace_product(space: Space, lam: Partition, rows: tuple[int, ...]) -> dic
                     continue
                 sign = -1 if (used >> j).bit_count() & 1 else 1  # inversions with rows above
                 moves.append((grown.setdefault(new, {}), sign, j - low[i]))
-            for (nu, d), c in elem.items():
+            for nu, c in elem.items():
                 table = _pieri_table(space, nu)
                 for target, sign, p in moves:
-                    zero, one = table[p]
-                    for kappa in zero:
-                        target[kappa, d] = target.get((kappa, d), 0) + sign * c
-                    for kappa in one:
-                        target[kappa, d + 1] = target.get((kappa, d + 1), 0) + sign * c
+                    c_signed = sign * c
+                    for kappa in table[p]:
+                        target[kappa] = target.get(kappa, 0) + c_signed
         states = {new: {key: c for key, c in elem.items() if c} for new, elem in grown.items()}
-    return states.get((1 << k) - 1, {})
+    weight = sum(lam) + sum(rows)
+    return _decode(space, states.get((1 << k) - 1, {}), weight)
 
 
 def quantum_product_a(lam, mu, m: int, n: int) -> QHElement:

@@ -5,8 +5,9 @@ import pathlib
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qschubert import combinat as C, ring, typea as A
+from qschubert import cli, combinat as C, ring, typea as A
 
 REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "typea_products.json"
 
@@ -162,21 +163,92 @@ def test_production_product_equals_jacobi_trudi_fold():
 def test_pieri_table_equals_the_per_p_maps():
     """Each class's table against the per-p Pieri map, the fold's rule, for
     every p on every G(m, N) with N <= 10, the point spaces m = 0 and
-    m = N included."""
+    m = N included: each row's keys decode to the map's classes, with the
+    degree read off the grading |lam| + p."""
     pairs = 0
     for N in range(11):
         for m in range(N + 1):
             space = ring.Space(ring.A, m, N - m)
             for lam in C.partitions_in_box(m, N - m):
-                table = A._pieri_table(space, lam)
+                table = A._pieri_table(space, A._key(space, lam))
                 assert len(table) == N - m + 1
-                for p, (zero, one) in enumerate(table):
-                    keys = [(nu, 0) for nu in zero] + [(nu, 1) for nu in one]
-                    assert len(set(keys)) == len(keys), (space, lam, p)
-                    assert set(keys) == set(A._pieri_map(space, lam, p)), (space, lam, p)
+                for p, row in enumerate(table):
+                    want = A._pieri_map(space, lam, p)
+                    if not N:
+                        # q has degree 0 on the point G(0, 0): s[0] * s[] = s[] + q*s[]
+                        # is one key twice, which the grading cannot tell apart
+                        assert list(row) == [A._key(space, ())] * 2
+                        assert set(want) == {((), 0), ((), 1)}
+                    else:
+                        got = A._decode(space, dict.fromkeys(row, 1), sum(lam) + p)
+                        assert len(got) == len(row), (space, lam, p)
+                        assert set(got) == set(want), (space, lam, p)
                     pairs += 1
             ring.clear_caches()
     assert pairs == 11_264
+
+
+@pytest.mark.parametrize("m", [14, 16, 20])
+def test_wide_keys_match_the_fold(m):
+    """On G(m, 2m) a key outgrows a machine word from m = 16 on (m = 14 still
+    fits).  A product with s[1] against the fold, and one of two full-length
+    classes against the fold on the conjugate side, where s[1^m] is one row."""
+    space = ring.Space(ring.A, m, m)
+    assert (A._layout(space)[2] is tuple) == (m > 14)
+    ones = (1,) * m
+    assert A.quantum_product_a(ones, (1,), m, m).coeffs == ring.giambelli_fold(space, ones, (1,))
+    hook = (m,) + (1,) * (m - 1)  # self-conjugate
+    conjugate = ring.giambelli_fold(space, hook, (m,))
+    assert A.quantum_product_a(hook, ones, m, m).coeffs == \
+        {(C.conjugate(nu), d): c for (nu, d), c in conjugate.items()} == {(ones[1:], 1): 1}
+    code, out = cli.run(["qprod", "--m", str(m), "--n", str(m),
+                         "--lambda", ",".join("1" * m), "--mu", "1"])
+    assert (code, out) == (0, f"s[2{',1' * (m - 1)}]")
+
+
+def test_point_space_products():
+    for N in range(5):
+        for m, n in {(0, 0), (0, N), (N, 0)}:
+            space = ring.Space(ring.A, m, n)
+            for lam, mu in itertools.product(C.partitions_in_box(m, n), repeat=2):
+                assert A.quantum_product_a(lam, mu, m, n) == E(m, n, {((), 0): 1})
+                assert ring.giambelli_fold(space, lam, mu) == {((), 0): 1}
+
+
+@st.composite
+def _classes(draw, min_N=0):
+    """(space, class) on G(m, N) with N <= 12, the point spaces m = 0 and n = 0 included."""
+    N = draw(st.integers(min_N, 12))
+    m = draw(st.integers(0, N))
+    parts = draw(st.lists(st.integers(0, N - m), min_size=m, max_size=m))
+    return ring.Space(ring.A, m, N - m), C.trim(tuple(sorted(parts, reverse=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classes())
+def test_packed_key_round_trip_and_weight(case):
+    space, lam = case
+    key, shift = A._key(space, lam), A._layout(space)[0]
+    assert A._parts(key >> shift, space.n + 1) == lam
+    assert key & ((1 << shift) - 1) == sum(lam)
+
+
+def test_packed_keys_of_distinct_classes_differ():
+    for N in range(13):
+        for m in range(N + 1):
+            space = ring.Space(ring.A, m, N - m)
+            classes = C.partitions_in_box(m, N - m)
+            assert len({A._key(space, lam) for lam in classes}) == len(classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classes(min_N=1), st.data())
+def test_degree_from_the_grading_equals_the_pieri_map(case, data):
+    # N >= 1: on G(0, 0) q has degree 0 and the grading holds no degree
+    space, lam = case
+    p = data.draw(st.integers(0, space.n))
+    for nu, d in A._pieri_map(space, lam, p):
+        assert A._decode(space, {A._key(space, nu): 1}, sum(lam) + p) == {(nu, d): 1}
 
 
 def test_staircase_squares_match_the_reference():
