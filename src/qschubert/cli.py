@@ -13,22 +13,26 @@ records keyed by a hash of the query and the engine version; stale
 versions and unreadable records are misses.  The location comes from
 ``--cache``, falling back to the ``QSCHUBERT_CACHE`` environment
 variable.
+
+Every call is a fresh process, so this module imports only ``ring`` and
+``combinat`` up front.  The chosen space's module (``typea``, or
+``isotropic`` with ``qpoly``) loads on the first lookup in the ``ring``
+registries, and ``puzzle``, ``verify``, ``inspect`` and ``hashlib`` are
+imported inside the commands that use them (``hashlib`` only when a
+cache path is set).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import inspect
 import json
 import os
 import sys
 from time import perf_counter
 
-from . import __version__, isotropic, puzzle, ring, typea, verify
+from . import __version__, ring
 from .combinat import partition, word_01, word_jd
-from .qpoly import ContractViolation
-from .ring import A, LG, OG, Space
+from .ring import A, LG, OG, ContractViolation, Space
 
 ENGINE_VERSION = __version__
 
@@ -59,6 +63,8 @@ def _result_json(query: dict, coeffs) -> str:
 
 
 def _cache_key(query: dict) -> str:
+    import hashlib
+
     payload = json.dumps({"query": query, "version": ENGINE_VERSION}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -118,7 +124,7 @@ def _cmd_qprod(args, space: Space) -> str:
     query = {"cmd": "qprod", "space": args.space, "m": args.m, "n": args.n,
              "lambda": list(lam), "mu": list(mu)}
     cache_path = args.cache or os.environ.get("QSCHUBERT_CACHE")
-    key = _cache_key(query)
+    key = _cache_key(query) if cache_path else None
     coeffs = _cache_lookup(cache_path, key, space)
     if coeffs is None:
         coeffs = space.element(ring.PRODUCT[space.kind](space, lam, mu)).coeffs
@@ -128,7 +134,15 @@ def _cmd_qprod(args, space: Space) -> str:
     return space.element(coeffs).text()
 
 
+def _gw_by_puzzle(space: Space, lam, mu, nu, d: int) -> int:
+    from . import typea
+
+    return typea.puzzle_invariant(space, lam, mu, nu, d)
+
+
 def _gw_by_duality(space: Space, lam, mu, nu, d: int) -> int:
+    from . import isotropic
+
     lg = Space.of(LG, None, space.n - 1)
     mu, nu = lg.check(mu), lg.check(nu)
     if not lam:
@@ -143,7 +157,7 @@ def _gw_by_duality(space: Space, lam, mu, nu, d: int) -> int:
 # classes; ring.gw uses the space's production product.
 _GW_ROUTES = {
     (A, "pieri"): ring.gw,
-    (A, "puzzle"): typea.puzzle_invariant,
+    (A, "puzzle"): _gw_by_puzzle,
     (LG, "qtilde"): ring.gw,
     (LG, "pieri"): lambda s, *x: ring.gw(s, *x, ring.giambelli_fold),
     (OG, "qtilde"): ring.gw,
@@ -170,6 +184,8 @@ def _cmd_gw(args, space: Space) -> str:
 def _cmd_lr(args, space: Space) -> str:
     lam, mu, nu = _classes(space, args.lam, args.mu, args.nu)
     if args.method == "puzzle":
+        from . import puzzle
+
         strings = [word_01(x, space.m, space.n) for x in (lam, mu, space.dual(nu))]
         value = puzzle.count(*strings, "1step")
     else:
@@ -182,6 +198,8 @@ def _cmd_lr(args, space: Space) -> str:
 
 
 def _cmd_puzzle(args) -> str:
+    from . import puzzle
+
     count = puzzle.count_puzzles_1step if args.type == "1step" else puzzle.count_puzzles_2step
     value = count(args.nw, args.ne, args.s)
     if args.format == "json":
@@ -212,6 +230,10 @@ def _cmd_string(args, space: Space) -> str:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
+    import inspect
+
+    from . import verify
+
     suite = verify.SUITES.get(args.suite)
     if suite is None:
         return 2, f"unknown suite {args.suite!r}; choose from {sorted(verify.SUITES)}"

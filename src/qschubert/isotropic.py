@@ -31,9 +31,7 @@ from . import qpoly, ring
 from .combinat import (Partition, horizontal_strip_additions,
                        horizontal_strip_removals, is_strict,
                        skew_component_stats, trim)
-from .qpoly import ContractViolation
-from .ring import LG, OG, IsoQHElement, Space, giambelli_fold
-from .typea import Report
+from .ring import LG, OG, ContractViolation, IsoQHElement, Report, Space, giambelli_fold
 
 
 # ---------------------------------------------------------------------------

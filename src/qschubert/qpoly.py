@@ -24,10 +24,7 @@ from functools import lru_cache
 
 from .combinat import (Partition, _component_count, _skew_cells,
                        horizontal_strip_additions, is_strict, partition)
-
-
-class ContractViolation(RuntimeError):
-    """An internal identity the engine guarantees failed to hold."""
+from .ring import ContractViolation
 
 
 def _width(n: int, w: int = 0) -> int:

@@ -4,10 +4,13 @@ Each ring has a quantum Pieri rule for multiplying by a special (one-row)
 class and a Giambelli formula writing any class in the special classes;
 folding one through the other (:func:`giambelli_fold`) gives products and
 invariants.  A :class:`Space` dispatches to its own rules, which live in
-:mod:`qschubert.typea` and :mod:`qschubert.isotropic`.  Each space's
-production product in ``PRODUCT`` takes another route, with the fold as
-its oracle: the e-basis constants for LG and OG, and for G(m, N) the
-Jacobi-Trudi determinant expanded row by row (memoised in ``typea``).
+:mod:`qschubert.typea` and :mod:`qschubert.isotropic` and are read
+through the registries ``PIERI``, ``GIAMBELLI`` and ``PRODUCT``: the
+first lookup of a kind imports the module that owns it, so a caller that
+imported only this module reaches every space.  Each space's production
+product in ``PRODUCT`` takes another route, with the fold as its oracle:
+the e-basis constants for LG and OG, and for G(m, N) the Jacobi-Trudi
+determinant expanded row by row (memoised in ``typea``).
 
 A caller's partition is checked once, by the public function called
 (:meth:`Space.check`, the element constructors).  Engine code calls only
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from importlib import import_module
 from typing import Callable, NamedTuple
 
 from .combinat import Partition, in_box, is_strict, partition, trim
@@ -31,12 +35,66 @@ A = "A"
 LG = "LG"
 OG = "OG"
 
+
+class ContractViolation(RuntimeError):
+    """An internal identity the engine guarantees failed to hold."""
+
+
+class _Factory:
+    """The default of a field that starts as a fresh empty container; it
+    prints as ``dataclasses`` prints such a default, so :class:`Report`
+    keeps the signature it had as a dataclass."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+class Report:
+    """Outcome of a batch of identity checks.
+
+    A plain class, not a dataclass: ``dataclasses`` imports ``inspect``,
+    which would add 6 to 10 ms to every command-line call.
+    """
+
+    def __init__(self, ok: bool, checked: int = 0, failures: list[str] = _FACTORY,
+                 data: dict = _FACTORY):
+        self.ok = ok
+        self.checked = checked
+        self.failures = [] if failures is _FACTORY else failures
+        self.data = {} if data is _FACTORY else data
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Report:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return (f"Report(ok={self.ok!r}, checked={self.checked!r}, "
+                f"failures={self.failures!r}, data={self.data!r})")
+
+
+class _Rules(dict):
+    """One rule per space kind, registered by the module that owns the kind
+    when it is imported.  Looking up a kind not yet registered imports that
+    module first, so a caller that imported only this module reaches every
+    space, and a command loads only the modules of the space it runs on."""
+
+    _OWNERS = {A: ".typea", LG: ".isotropic", OG: ".isotropic"}
+
+    def __missing__(self, kind: str) -> Callable:
+        import_module(self._OWNERS[kind], __package__)
+        return dict.__getitem__(self, kind)
+
+
 # Each space's Pieri map (space, lam, p) -> {(nu, d): c}, Giambelli terms
 # (space, lam) -> {(d, special factors): c} and production product
-# (space, lam, mu) -> {(nu, d): c}, registered by the module that owns them.
-PIERI: dict[str, Callable] = {}
-GIAMBELLI: dict[str, Callable] = {}
-PRODUCT: dict[str, Callable] = {}
+# (space, lam, mu) -> {(nu, d): c}.
+PIERI: dict[str, Callable] = _Rules()
+GIAMBELLI: dict[str, Callable] = _Rules()
+PRODUCT: dict[str, Callable] = _Rules()
 
 
 class Space(NamedTuple):

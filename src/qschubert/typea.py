@@ -36,26 +36,15 @@ the product returns partitions.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import product
 from typing import NamedTuple
 
-from . import puzzle, ring
+from . import ring
 from .combinat import (Partition, horizontal_strip_additions,
                        horizontal_strip_removals, trim, word_jd)
 from .combinat import partition  # noqa: F401  (the benchmark self-test reads it)
-from .ring import A, QHElement, Space, giambelli_fold
-
-
-@dataclass
-class Report:
-    """Outcome of a batch of identity checks."""
-
-    ok: bool
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+from .ring import A, QHElement, Report, Space, giambelli_fold
 
 
 class SpecialMonomial(NamedTuple):
@@ -144,13 +133,32 @@ def quantum_pieri_a(lam, p: int, m: int, n: int) -> QHElement:
 
 def _det_factor_entries(rows: tuple[int, ...], n: int):
     """Signed special-class monomials of det(s[rows_i + j - i]), entries
-    outside 0..n treated as zero, s[0] dropped from the factor list."""
+    outside 0..n treated as zero, s[0] dropped from the factor list.
+
+    The permutations are searched depth first in lexicographic order, so
+    the monomials come in the order of ``itertools.permutations``.  A
+    partial permutation is cut as soon as an entry leaves 0..n or its free
+    columns, in order, no longer fit the remaining rows in order (row i
+    takes columns i - rows_i .. i - rows_i + n, and both ends grow with i),
+    so every branch kept ends in a monomial.
+    """
     k = len(rows)
-    for perm in permutations(range(k)):
-        entries = [rows[i] + perm[i] - i for i in range(k)]
-        if all(0 <= e <= n for e in entries):
-            inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
-            yield (-1) ** inv, tuple(sorted((e for e in entries if e), reverse=True))
+    low = [i - row for i, row in enumerate(rows)]
+    entries: list[int] = []
+
+    def extend(i: int, free: tuple[int, ...], sign: int):
+        if i == k:
+            yield sign, tuple(sorted((e for e in entries if e), reverse=True))
+            return
+        for pos, j in enumerate(free):
+            rest = free[:pos] + free[pos + 1:]
+            if 0 <= j - low[i] <= n and all(0 <= c - lo <= n for c, lo in zip(rest, low[i + 1:])):
+                entries.append(j - low[i])
+                # j is the pos-th smallest free column: pos inversions with rows below
+                yield from extend(i + 1, rest, -sign if pos & 1 else sign)
+                entries.pop()
+
+    return extend(0, tuple(range(k)), 1)
 
 
 @lru_cache(maxsize=None)
@@ -247,6 +255,8 @@ def gw_a_puzzle(lam, mu, nu, d: int, m: int, n: int) -> int:
 def puzzle_invariant(space: Space, lam: Partition, mu: Partition, nu: Partition,
                      d: int) -> int:
     """:func:`gw_a_puzzle` of admissible classes."""
+    from . import puzzle
+
     m, n = space.m, space.n
     if not space.in_degree(d, lam, mu, nu) or d > min(m, n):
         # past min(m, n) no degree-d strings exist and the invariant vanishes

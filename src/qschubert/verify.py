@@ -14,8 +14,7 @@ from itertools import combinations, groupby, product
 from . import isotropic, puzzle, qpoly, ring, typea
 from .combinat import (Partition, partitions_in_box, partitions_with_parts_at_most,
                        strict_partitions_max, word_01, word_jd)
-from .ring import A, LG, OG, Space
-from .typea import Report
+from .ring import A, LG, OG, Report, Space
 
 _MAX_FAILURES = 5
 # G(m, N) up to this N also get the classical 1-step puzzle check

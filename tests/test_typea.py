@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import pathlib
+import time
 import warnings
 
 import pytest
@@ -34,6 +35,42 @@ def test_giambelli_monomials_examples():
         A.SpecialMonomial(1, (1, 1)), A.SpecialMonomial(-1, (2,))]
     assert A.giambelli_monomials((2,), 1, 3) == [A.SpecialMonomial(1, (2,))]
     assert A.giambelli_monomials((), 2, 2) == [A.SpecialMonomial(1, ())]
+
+
+def _det_entries_by_permutations(rows, n):
+    """Every permutation of the k columns, then the monomials with all entries in 0..n."""
+    k = len(rows)
+    for perm in itertools.permutations(range(k)):
+        entries = [rows[i] + perm[i] - i for i in range(k)]
+        if all(0 <= e <= n for e in entries):
+            inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+            yield (-1) ** inv, tuple(sorted((e for e in entries if e), reverse=True))
+
+
+def _weakly_decreasing(k, top):
+    if not k:
+        yield ()
+        return
+    for x in range(top, -1, -1):
+        for rest in _weakly_decreasing(k - 1, x):
+            yield (x,) + rest
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_det_entries_equal_the_permutation_walk(k):
+    """Same monomials in the same order, on rows with zero parts and parts
+    past n; for k >= 6 every tenth row vector, so the k! walk stays short."""
+    for n in (0, 1, 2, 3, 5):
+        rows = list(_weakly_decreasing(k, n + 2))
+        for lam in rows[::max(1, len(rows) // 10) if k >= 6 else 1]:
+            assert list(A._det_factor_entries(lam, n)) == \
+                list(_det_entries_by_permutations(lam, n)), (lam, n)
+
+
+def test_det_entries_of_a_deep_column_are_fast():
+    start = time.perf_counter()
+    monomials = A.giambelli_monomials((1,) * 14, 14, 14)
+    assert len(monomials) == 2 ** 13 and time.perf_counter() - start < 1.0
 
 
 def test_quantum_product_examples():
