@@ -10,7 +10,8 @@ first lookup of a kind imports the module that owns it, so a caller that
 imported only this module reaches every space.  Each space's production
 product in ``PRODUCT`` takes another route, with the fold as its oracle:
 the e-basis constants for LG and OG, and for G(m, N) the Jacobi-Trudi
-determinant expanded row by row (memoised in ``typea``).
+determinant expanded row by row (memoised in ``typea``), after turning
+the pair in its s[n] rotation orbit to the one that is cheapest to expand.
 
 A caller's partition is checked once, by the public function called
 (:meth:`Space.check`, the element constructors).  Engine code calls only

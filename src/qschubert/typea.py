@@ -16,14 +16,21 @@ Gromov-Witten invariants of degree d are coefficient extractions from
 these products, and can independently be counted as 2-step puzzles over
 the degree-d boundary strings.
 
+Multiplying by s[n] turns the 01-word of a class one place, with q where
+a 0 wraps round, and s[n]^N = q^n: s[n] is a unit once q is inverted, so
+s[lam] * s[mu] = q^e * s[lam'] * s[mu'] for every pair (lam', mu') =
+(s[n]^a lam, s[n]^-a mu) of the rotation orbit (Agnihotri-Woodward,
+Postnikov).
+
 This module holds what is particular to G(m, N): the quantum Pieri rule,
-the production product (the determinant Laplace-expanded row by row, one
+the production product (the pair of the rotation orbit whose expanded
+factor is cheapest, its determinant Laplace-expanded row by row, one
 memo entry per unordered pair, reading one Pieri table per class that
-holds s[lam] * s[p] for every p), its oracle (the determinant's monomials folded one by one by
-``ring.giambelli_fold`` through the per-p Pieri map, which is built apart
-from the tables), the puzzle route and the presentation.  The element
-class, the fold and the invariant are shared with LG and OG in
-:mod:`qschubert.ring`.
+holds s[lam] * s[p] for every p), its oracle (the determinant's monomials
+folded one by one by ``ring.giambelli_fold`` through the per-p Pieri map,
+which is built apart from the tables), the puzzle route and the
+presentation.  The element class, the fold and the invariant are shared
+with LG and OG in :mod:`qschubert.ring`.
 
 Inside the production product a class is one integer key: its parts are
 mixed-radix digits above a low field holding |lam|, so adding the keys of
@@ -177,13 +184,80 @@ def giambelli_monomials(lam, m: int, n: int) -> list[SpecialMonomial]:
             for sign, factors in _det_factor_entries(lam, n)]
 
 
+def _word(m: int, lam: Partition) -> int:
+    """The 01-word of a class of G(m, N) as an N-bit integer: part lam_i sets
+    bit lam_i + m - i, so the rows with lam_i = 0 are the trailing ones."""
+    word = (1 << m - len(lam)) - 1
+    for i, x in enumerate(lam, 1):
+        word |= 1 << x + m - i
+    return word
+
+
+def _turn(m: int, n: int, word: int, weight: int, back: bool) -> tuple[int, int, int]:
+    """(rows, -weight, a) of the cheapest class s[n]^a * lam, a = 0..N-1, or
+    of s[n]^-a * lam if ``back``, lam given by its 01-word (not all ones)
+    and its weight: the fewest rows, then the heaviest, then the smallest a.
+
+    s[n]^s turns the word s places down, so its rows are m less the run of
+    ones from bit s up, cyclically, fewest where s starts a longest run; its
+    weight gains s * n less N for each 0 that wraps round.  s[n]^-a is the
+    class s[n]^(N-a), since s[n]^N = q^n."""
+    N = m + n
+    runs, length = word, 0
+    while runs:  # after k rounds, the bits that start k + 1 ones in a row
+        starts = runs
+        runs &= runs >> 1 | (runs & 1) << N - 1
+        length += 1
+    best = (m + 1,)
+    while starts:
+        s = (starts & -starts).bit_length() - 1
+        starts &= starts - 1
+        best = min(best, (m - length, N * (s - (word & (1 << s) - 1).bit_count()) - weight - s * n,
+                          (N - s) % N if back else s))
+    return best
+
+
+def _partition(m: int, word: int) -> Partition:
+    """The class of a 01-word: the i-th 1 from the top, at bit b, is the
+    part b - m + i; the zero parts are the trailing ones."""
+    parts = []
+    while word & word + 1:
+        top = word.bit_length() - 1
+        parts.append(top - m + 1 + len(parts))
+        word ^= 1 << top
+    return tuple(parts)
+
+
+def _cheapest_pair(space: Space, lam: Partition, mu: Partition):
+    """(lam', mu', e) with s[lam] * s[mu] = q^e * s[lam'] * s[mu'], the pair
+    (s[n]^a lam, s[n]^-a mu) of the rotation orbit whose expanded factor is
+    cheapest by (rows, -weight), ties to the smallest a, so a = 0 unless a
+    rotation is cheaper; e is read off the grading.  A factor of at most
+    one row is already cheap, and skips the search."""
+    if len(lam) < 2 or len(mu) < 2:
+        return lam, mu, 0
+    m, n = space.m, space.n
+    u, v = _word(m, lam), _word(m, mu)
+    a = min(_turn(m, n, u, sum(lam), False), _turn(m, n, v, sum(mu), True))[2]
+    if not a:
+        return lam, mu, 0
+    N, full = m + n, (1 << m + n) - 1
+    lam2 = _partition(m, (u >> a | u << N - a) & full)
+    mu2 = _partition(m, (v << a | v >> N - a) & full)
+    return lam2, mu2, (sum(lam) + sum(mu) - sum(lam2) - sum(mu2)) // N
+
+
 def _product(space: Space, lam: Partition, mu: Partition) -> dict:
-    """The production product of admissible classes: expand the factor with
-    fewer rows, on a tie the heavier (more of its entries vanish).  The
-    order is total, so both orders of a pair share one memo entry."""
+    """The production product of admissible classes: q^e times the product
+    of the cheapest pair of the rotation orbit (:func:`_cheapest_pair`),
+    which expands the factor with fewer rows, on a tie the heavier (more of
+    its entries vanish).  The order is total, so both orders of the pair
+    multiplied share one memo entry."""
+    lam, mu, e = _cheapest_pair(space, lam, mu)
     if (len(lam), -sum(lam), lam) < (len(mu), -sum(mu), mu):
         lam, mu = mu, lam
-    return _laplace_product(space, lam, mu)
+    out = _laplace_product(space, lam, mu)
+    return {(nu, d + e): c for (nu, d), c in out.items()} if e else out
 
 
 @lru_cache(maxsize=None)

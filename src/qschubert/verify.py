@@ -9,6 +9,7 @@ exhaustive grid bounded by the given size limits.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from itertools import combinations, groupby, product
 
 from . import isotropic, puzzle, qpoly, ring, typea
@@ -60,10 +61,9 @@ def _graded_triples(classes: list, m: int, n: int):
 
 
 def _compare_puzzles(report: Report, space: Space, kind: str, d: int, words: dict,
-                     duals: dict, lam: Partition, mu: Partition, nus):
-    """Read every nu off one puzzle pass and one product of (lam, mu)."""
+                     duals: dict, lam: Partition, mu: Partition, nus, coeffs: dict):
+    """Read every nu off one puzzle pass and the product coeffs of (lam, mu)."""
     counts = puzzle.south_counts(words[lam], words[mu], kind)
-    coeffs = ring.PRODUCT[A](space, lam, mu)
     for nu in nus:
         # the product is graded, so a nu of the wrong weight reads 0 there too
         got, want = counts.get(words[nu], 0), coeffs.get((duals[nu], d), 0)
@@ -82,24 +82,27 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     the classical 1-step count is additionally compared on all ordered
     triples, including degree-mismatched ones (both sides zero).  Each
     (d, lam, mu) takes one puzzle pass with the south side free
-    (:func:`puzzle.south_counts`) and one product; every nu is one check.
+    (:func:`puzzle.south_counts`); each (lam, mu) takes one product, which
+    the 1-step pass and every degree read; every nu is one check.
     """
     report = Report(ok=True)
     for N in range(2, max_N + 1):
         for m in range(1, N):
             n = N - m
             space = Space(A, m, n)
+            products = lru_cache(maxsize=None)(partial(ring.PRODUCT[A], space))
             classes = partitions_in_box(m, n)
             duals = {lam: space.dual(lam) for lam in classes}
             if N <= _MAX_CLASSICAL_N:
                 words = {lam: word_01(lam, m, n) for lam in classes}
                 for lam, mu in product(classes, repeat=2):
-                    _compare_puzzles(report, space, "1step", 0, words, duals, lam, mu, classes)
+                    _compare_puzzles(report, space, "1step", 0, words, duals, lam, mu, classes,
+                                     products(lam, mu))
             jd = [{lam: word_jd(lam, m, n, d) for lam in classes} for d in range(min(m, n) + 1)]
             for (d, lam, mu), run in groupby(_graded_triples(classes, m, n),
                                              key=lambda t: t[:3]):
                 _compare_puzzles(report, space, "2step", d, jd[d], duals, lam, mu,
-                                 [t[3] for t in run])
+                                 [t[3] for t in run], products(lam, mu))
     return report
 
 
@@ -237,22 +240,35 @@ def suite_qtilde_properties(max_n: int = 4, max_weight: int = 12) -> Report:
     return report
 
 
+def _shift(coeffs: dict, e: int) -> dict:
+    """q^e times a product {(nu, d): c}."""
+    return {(nu, d + e): c for (nu, d), c in coeffs.items()}
+
+
 def suite_symmetry(max_N: int = 7, max_n: int = 4) -> Report:
     """Invariance of the three invariant flavors under permuting their
-    arguments, and commutativity of the type A product under the
-    fold-the-second-factor route."""
+    arguments, and, under the fold-the-second-factor route, commutativity
+    of the type A product and its rotation identity: s[n] * s[lam] is one
+    term q^d1 s[lam'] (the quantum Pieri rule) and s[n] * s[mu'] = q^d2
+    s[mu] for one mu', so q^d2 lam * mu = q^d1 lam' * mu'."""
     report = Report(ok=True)
     for N in range(2, max_N + 1):
         for m in range(1, N):
             n = N - m
             space = Space(A, m, n)
             classes = partitions_in_box(m, n)
+            # s[n] * s[lam] = q^d s[nu] as lam -> (nu, d), and its inverse
+            rotated = {lam: next(iter(space.pieri(lam, n))) for lam in classes}
+            unrotated = {nu: (lam, d) for lam, (nu, d) in rotated.items()}
             for lam in classes:
                 for mu in classes:
-                    report.checked += 1
-                    if ring.giambelli_fold(space, lam, mu) != \
-                            ring.giambelli_fold(space, mu, lam):
+                    report.checked += 2
+                    folded = ring.giambelli_fold(space, lam, mu)
+                    if folded != ring.giambelli_fold(space, mu, lam):
                         _note(report, f"commutativity fails for {lam},{mu} on G({m},{N})")
+                    (lam1, d1), (mu1, d2) = rotated[lam], unrotated[mu]
+                    if _shift(folded, d2) != _shift(ring.giambelli_fold(space, lam1, mu1), d1):
+                        _note(report, f"rotation fails for {lam},{mu} on G({m},{N})")
             for d, lam, mu, nu in _graded_triples(classes, m, n):
                 base = ring.gw(space, lam, mu, nu, d)
                 report.checked += 1

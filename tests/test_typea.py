@@ -183,18 +183,88 @@ def test_product_grading_and_duality_small():
 
 def test_production_product_equals_jacobi_trudi_fold():
     """The Laplace-expanded product against its oracle, the monomial fold,
-    on every ordered pair of every G(m, N) with N <= 8."""
-    pairs = 0
+    on every ordered pair of every G(m, N) with N <= 8; most pairs are
+    multiplied as another pair of their rotation orbit."""
+    pairs = turned = 0
     for N in range(2, 9):
         for m in range(1, N):
             space = ring.Space(ring.A, m, N - m)
             classes = C.partitions_in_box(m, N - m)
             for lam, mu in itertools.product(classes, repeat=2):
                 pairs += 1
+                turned += A._cheapest_pair(space, lam, mu)[:2] != (lam, mu)
                 assert ring.PRODUCT[ring.A](space, lam, mu) == \
                     ring.giambelli_fold(space, lam, mu), (space, lam, mu)
             ring.clear_caches()
-    assert pairs == 17_560
+    assert pairs == 17_560 and turned
+
+
+def _turned_by_pieri(space, lam):
+    """s[n] * s[lam] by the quantum Pieri rule's one term: (n, lam_1, ...,
+    lam_m-1) if lam_m = 0, else q times lam - 1^m."""
+    if len(lam) < space.m:
+        return ((space.n,) + lam)[:space.m], 0
+    return C.trim(tuple(x - 1 for x in lam)), 1
+
+
+def test_pieri_map_by_s_n_is_one_turned_term():
+    """On every G(m, N) with 1 <= m < N <= 10, s[n] * s[lam] is the one
+    Bertram term, and it is the class of the 01-word turned one place."""
+    for N in range(2, 11):
+        for m in range(1, N):
+            space = ring.Space(ring.A, m, N - m)
+            full = (1 << N) - 1
+            for lam in C.partitions_in_box(m, N - m):
+                nu, d = _turned_by_pieri(space, lam)
+                assert A._pieri_map(space, lam, N - m) == {(nu, d): 1}, (space, lam)
+                word = A._word(m, lam)
+                assert A._partition(m, word) == lam
+                assert A._partition(m, (word >> 1 | word << N - 1) & full) == nu
+            ring.clear_caches()
+
+
+def test_cheapest_turn_equals_the_orbit_walk():
+    """Each class's cheapest rotation, both ways round, against the walk of
+    its orbit by the Pieri map, on every G(m, N) with N <= 9: fewest rows,
+    then heaviest, then the smallest a."""
+    for N in range(2, 10):
+        for m in range(1, N):
+            space = ring.Space(ring.A, m, N - m)
+            for lam in C.partitions_in_box(m, N - m):
+                orbit = [lam]
+                for _ in range(N - 1):
+                    (nu, _), = A._pieri_map(space, orbit[-1], N - m)
+                    orbit.append(nu)
+                word = A._word(m, lam)
+                for back, turned in ((False, orbit), (True, orbit[:1] + orbit[:0:-1])):
+                    want = min((len(nu), -sum(nu), a) for a, nu in enumerate(turned))
+                    assert A._turn(m, N - m, word, sum(lam), back) == want, (space, lam, back)
+
+
+def test_staircase_times_a_full_column_is_one_rotation():
+    """s[1^m] is q times the inverse of s[n]; (14, ..., 1) times 1^14 on
+    G(14, 28) once expanded a 14-row determinant for 7 s."""
+    start = time.perf_counter()
+    product = A.quantum_product_a(tuple(range(14, 0, -1)), (1,) * 14, 14, 14)
+    assert product == E(14, 14, {(tuple(range(13, 0, -1)), 1): 1})
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def _pairs_past_n8(draw):
+    """(m, n, lam, mu) on G(m, N), 9 <= N <= 16, mu of at most 3 rows."""
+    N = draw(st.integers(9, 16))
+    m = draw(st.integers(1, N - 1))
+    lam = draw(st.lists(st.integers(0, N - m), min_size=m, max_size=m))
+    mu = draw(st.lists(st.integers(0, N - m), min_size=min(m, 3), max_size=min(m, 3)))
+    return (m, N - m) + tuple(C.trim(tuple(sorted(x, reverse=True))) for x in (lam, mu))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_pairs_past_n8())
+def test_production_product_equals_the_fold_past_n8(case):
+    m, n, lam, mu = case
+    assert A.quantum_product_a(lam, mu, m, n) == A.product_second_folded(lam, mu, m, n)
 
 
 def test_pieri_table_equals_the_per_p_maps():
