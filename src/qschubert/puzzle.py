@@ -24,9 +24,11 @@ present.  The tables are pinned by the golden counts in the test suite,
 which also checks the counts against the independent Pieri-based route.
 
 Counting fills the rows from the apex down with the south side free, so
-one pass (:func:`south_counts`) counts every south word; glue labels can
-reach that side, and words holding one are dropped.  Only the row
-fillings are memoised, not the counts.
+one pass (:func:`packed_counts`) counts every south word.  A label is a
+4-bit code and a row one int, cell j at bits 4j; two transition tables
+per piece set extend a partial row by one cell, and the only memo holds
+each row's packed fillings.  Glue labels can reach the free south side,
+and :func:`south_counts` drops the words holding one.
 """
 
 from __future__ import annotations
@@ -37,114 +39,111 @@ from functools import lru_cache
 from . import ring
 from .combinat import ALPHABET_01, ALPHABET_012, LabelString
 
-_UP_PATTERNS_1 = [
-    ("0", "0", "0"),
-    ("1", "1", "1"),
-    ("1", "0", "x"),
-    ("0", "x", "1"),
-    ("x", "1", "0"),
-]
-
-_DOWN_PATTERNS_1 = [
-    ("0", "0", "0"),
-    ("1", "1", "1"),
-    ("x", "0", "1"),
-    ("1", "x", "0"),
-    ("0", "1", "x"),
-]
-
-
-def _rhombus_patterns(big: str, small: str, glue: str):
-    """Unit-triangle halves of the rhombus carrying ``big`` over ``small``.
-
-    In the vertical position the two '/'-edges carry ``big`` and the two
-    '\\'-edges carry ``small``; the other two positions are its rotations.
-    """
-    ups = [(big, small, glue), (small, glue, big), (glue, big, small)]
-    downs = [(glue, small, big), (big, glue, small), (small, big, glue)]
-    return ups, downs
+_UP_PATTERNS_1 = [tuple(piece) for piece in "000 111 10x 0x1 x10".split()]
+_DOWN_PATTERNS_1 = [tuple(piece) for piece in "000 111 x01 1x0 01x".split()]
 
 
 def _build_2step():
+    """The three one-label triangles, then the unit-triangle halves of five
+    rhombi: in the vertical position the two '/'-edges carry ``big``, the
+    two '\\'-edges ``small`` and the cut ``glue``; the other two positions
+    are its rotations."""
     ups = [("0", "0", "0"), ("1", "1", "1"), ("2", "2", "2")]
-    downs = [("0", "0", "0"), ("1", "1", "1"), ("2", "2", "2")]
-    for big, small, glue in [("1", "0", "a"), ("2", "0", "b"), ("2", "1", "c"),
-                             ("2", "a", "d"), ("c", "0", "e")]:
-        u, d = _rhombus_patterns(big, small, glue)
-        ups += u
-        downs += d
+    downs = list(ups)
+    for big, small, glue in ("10a", "20b", "21c", "2ad", "c0e"):
+        ups += [(big, small, glue), (small, glue, big), (glue, big, small)]
+        downs += [(glue, small, big), (big, glue, small), (small, big, glue)]
     return ups, downs
 
 _UP_PATTERNS_2, _DOWN_PATTERNS_2 = _build_2step()
 
 
-def _index(ups, downs):
-    by_left = defaultdict(tuple)
-    right_of = {}
-    for left, right, bottom in ups:
-        by_left[left] += ((right, bottom),)
-        if (left, bottom) in right_of:
-            raise AssertionError(f"ambiguous upward piece at {(left, bottom)}")
-        right_of[(left, bottom)] = right
-    by_top_left = {}
-    for top, left, right in downs:
-        key = (top, left)
-        if key in by_top_left:
-            raise AssertionError(f"ambiguous downward piece at {key}")
-        by_top_left[key] = right
-    return dict(by_left), by_top_left, right_of
+# a label's 4-bit code is one hex digit; the glue labels, which never reach
+# the boundary, have bit 3 set, so one mask finds a packed word holding one
+_LABELS, _DIGITS = "012xabcde", "01289abcd"
+_CODE = {label: int(digit, 16) for label, digit in zip(_LABELS, _DIGITS)}
+_TO_HEX, _FROM_HEX = str.maketrans(_LABELS, _DIGITS), str.maketrans(_DIGITS, _LABELS)
 
-_TABLES = {
-    "1step": _index(_UP_PATTERNS_1, _DOWN_PATTERNS_1),
-    "2step": _index(_UP_PATTERNS_2, _DOWN_PATTERNS_2),
-}
+
+def _index(ups, downs):
+    """Piece lookups and the two transition tables of a piece set, in the
+    order of ``ups``: ``inner[t << 4 | left]`` lists (bottom, next left) of an
+    upward piece on edge ``left`` and the downward piece after it under top
+    label ``t``; ``last[left << 4 | right]`` lists the bottoms closing a row."""
+    by_top_left = {(top, left): right for top, left, right in downs}
+    right_of = {(left, bottom): right for left, right, bottom in ups}
+    if len(by_top_left) < len(downs) or len(right_of) < len(ups):
+        raise AssertionError("two edges do not fix every piece")
+    inner, last = [()] * 256, [()] * 256
+    for left, right, bottom in ups:
+        last[_CODE[left] << 4 | _CODE[right]] += (_CODE[bottom],)
+        for (top, down_left), nxt in by_top_left.items():
+            if down_left == right:
+                inner[_CODE[top] << 4 | _CODE[left]] += ((_CODE[bottom], _CODE[nxt]),)
+    return by_top_left, right_of, tuple(inner), tuple(last)
+
+_TABLES = {"1step": _index(_UP_PATTERNS_1, _DOWN_PATTERNS_1),
+           "2step": _index(_UP_PATTERNS_2, _DOWN_PATTERNS_2)}
 _ALPHABETS = {"1step": ALPHABET_01, "2step": ALPHABET_012}
 
 
+def pack(word: str) -> int:
+    """A word as one int, its last label in the lowest 4 bits."""
+    return int("0" + word.translate(_TO_HEX), 16)
+
+
+def _unpack(row: int, width: int) -> str:
+    # the 1 above the top cell keeps its leading zero labels
+    return format(row | 1 << 4 * width, "x")[1:].translate(_FROM_HEX)
+
+
 @lru_cache(maxsize=None)
-def _row_fillings(kind, top, left0, right_req):
-    """All ways to fill one row given the bottom labels of the row above.
+def _row_fillings(kind, top, width, left0, right_req):
+    """All packed bottom rows (cell j at bits 4j) of a row of ``width``
+    upward triangles under the packed row ``top`` of width - 1 labels, in
+    the order of the piece tables; the row's outer NW edge is ``left0`` and
+    its outer NE edge must be ``right_req``."""
+    _, _, inner, last = _TABLES[kind]
+    partial = [(0, left0)]
+    for shift in range(0, 4 * width - 4, 4):
+        t = (top >> shift & 15) << 4
+        partial = [(row | bottom << shift, nxt) for row, left in partial
+                   for bottom, nxt in inner[t | left]]
+    shift = 4 * width - 4
+    return tuple([row | bottom << shift for row, left in partial
+                  for bottom in last[left << 4 | right_req]])
 
-    ``top`` has r-1 labels for a row of r upward triangles; the row's
-    outer NW edge is ``left0`` and its outer NE edge must be
-    ``right_req``.  Returns the tuple of possible bottom-label rows.
-    """
-    ups, downs, _ = _TABLES[kind]
-    r = len(top) + 1
-    out = []
 
-    def rec(j, left, acc):
-        for right, bottom in ups.get(left, ()):
-            if j == r - 1:
-                if right == right_req:
-                    out.append(acc + (bottom,))
-            else:
-                nxt = downs.get((top[j], right))
-                if nxt is not None:
-                    rec(j + 1, nxt, acc + (bottom,))
-
-    rec(0, left0, ())
-    return tuple(out)
+def packed_counts(nw: str, ne: str, kind: str) -> dict[int, int]:
+    """Puzzle counts of a kind on engine-built NW and NE sides, unchecked,
+    per packed south word (:func:`pack`), glue words included."""
+    frontier = {0: 1}
+    # row r, top row first, has outer NW edge nw[-r] and outer NE edge ne[r - 1]
+    for width, (left0, right_req) in enumerate(zip(reversed(nw), ne), 1):
+        left0, right_req = _CODE[left0], _CODE[right_req]
+        if len(frontier) == 1:
+            # one row's bottoms are distinct: two edges fix each piece
+            (top, cnt), = frontier.items()
+            frontier = dict.fromkeys(_row_fillings(kind, top, width, left0, right_req), cnt)
+            continue
+        new: dict[int, int] = defaultdict(int)
+        for top, cnt in frontier.items():
+            for row in _row_fillings(kind, top, width, left0, right_req):
+                new[row] += cnt
+        frontier = new
+    return frontier
 
 
 def south_counts(nw: str, ne: str, kind: str) -> dict[str, int]:
     """Puzzle counts of a kind on engine-built NW and NE sides, unchecked, per south word."""
-    frontiers = {(): 1}
-    # row r, top row first, has outer NW edge nw[-r] and outer NE edge ne[r - 1]
-    for left0, right_req in zip(reversed(nw), ne):
-        new: dict[tuple, int] = defaultdict(int)
-        for top, cnt in frontiers.items():
-            for bottoms in _row_fillings(kind, top, left0, right_req):
-                new[bottoms] += cnt
-        frontiers = new
-    alphabet = set(_ALPHABETS[kind])
-    return {"".join(reversed(bottoms)): cnt for bottoms, cnt in frontiers.items()
-            if alphabet.issuperset(bottoms)}
+    glue = int("0" + "8" * len(nw), 16)
+    return {_unpack(row, len(nw)): cnt
+            for row, cnt in packed_counts(nw, ne, kind).items() if not row & glue}
 
 
 def count(nw: str, ne: str, s: str, kind: str) -> int:
     """Number of puzzles of a kind with a boundary the engine built, unchecked."""
-    return south_counts(nw, ne, kind).get(s, 0)
+    return packed_counts(nw, ne, kind).get(pack(s), 0)
 
 
 def _as_text(s, alphabet: str) -> str:
@@ -191,28 +190,27 @@ def dump_fillings(nw, ne, s, kind="1step"):
     upward triangles as left/right/bottom label triples.
     """
     nw, ne, s = _boundary(nw, ne, s, kind)
-    _, downs, right_of = _TABLES[kind]
-    rows = list(zip(reversed(nw), ne))
-    target = tuple(reversed(s))
+    downs, right_of, _, _ = _TABLES[kind]
+    target = pack(s)
     results = []
 
-    def walk(i, top, dumped):
-        if i == len(rows):
+    def walk(width, top, dumped):
+        if width > len(nw):
             if top == target:
                 results.append(dumped)
             return
-        left0, right_req = rows[i]
-        for bottoms in _row_fillings(kind, top, left0, right_req):
-            cells = []
-            left = left0
-            for j, bottom in enumerate(bottoms):
+        left0, right_req = nw[-width], ne[width - 1]
+        tops = _unpack(top, width - 1)[::-1]
+        for row in _row_fillings(kind, top, width, _CODE[left0], _CODE[right_req]):
+            cells, left = [], left0
+            for j, bottom in enumerate(_unpack(row, width)[::-1]):
                 right = right_of[(left, bottom)]
                 cells.append(f"{left}{right}{bottom}")
-                if j < len(top):
-                    left = downs[(top[j], right)]
-            walk(i + 1, bottoms, dumped + [" ".join(cells)])
+                if j < len(tops):
+                    left = downs[(tops[j], right)]
+            walk(width + 1, row, dumped + [" ".join(cells)])
 
-    walk(0, (), [])
+    walk(1, 0, [])
     return results
 
 

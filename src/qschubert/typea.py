@@ -193,6 +193,7 @@ def _word(m: int, lam: Partition) -> int:
     return word
 
 
+@lru_cache(maxsize=None)
 def _turn(m: int, n: int, word: int, weight: int, back: bool) -> tuple[int, int, int]:
     """(rows, -weight, a) of the cheapest class s[n]^a * lam, a = 0..N-1, or
     of s[n]^-a * lam if ``back``, lam given by its 01-word (not all ones)
@@ -233,7 +234,8 @@ def _cheapest_pair(space: Space, lam: Partition, mu: Partition):
     (s[n]^a lam, s[n]^-a mu) of the rotation orbit whose expanded factor is
     cheapest by (rows, -weight), ties to the smallest a, so a = 0 unless a
     rotation is cheaper; e is read off the grading.  A factor of at most
-    one row is already cheap, and skips the search."""
+    one row is already cheap, and skips the search; each factor's best
+    turn is memoised, one :func:`_turn` entry per class and direction."""
     if len(lam) < 2 or len(mu) < 2:
         return lam, mu, 0
     m, n = space.m, space.n

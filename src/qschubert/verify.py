@@ -61,12 +61,13 @@ def _graded_triples(classes: list, m: int, n: int):
 
 
 def _compare_puzzles(report: Report, space: Space, kind: str, d: int, words: dict,
-                     duals: dict, lam: Partition, mu: Partition, nus, coeffs: dict):
+                     keys: dict, duals: dict, lam: Partition, mu: Partition, nus,
+                     coeffs: dict):
     """Read every nu off one puzzle pass and the product coeffs of (lam, mu)."""
-    counts = puzzle.south_counts(words[lam], words[mu], kind)
+    counts = puzzle.packed_counts(words[lam], words[mu], kind)
     for nu in nus:
         # the product is graded, so a nu of the wrong weight reads 0 there too
-        got, want = counts.get(words[nu], 0), coeffs.get((duals[nu], d), 0)
+        got, want = counts.get(keys[nu], 0), coeffs.get((duals[nu], d), 0)
         report.checked += 1
         if got != want:
             _note(report, f"{kind} {space.label} d={d} {lam},{mu},{nu}: "
@@ -82,8 +83,9 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     the classical 1-step count is additionally compared on all ordered
     triples, including degree-mismatched ones (both sides zero).  Each
     (d, lam, mu) takes one puzzle pass with the south side free
-    (:func:`puzzle.south_counts`); each (lam, mu) takes one product, which
-    the 1-step pass and every degree read; every nu is one check.
+    (:func:`puzzle.packed_counts`), read at each nu's word packed once per
+    (space, d); each (lam, mu) takes one product, which the 1-step pass
+    and every degree read; every nu is one check.
     """
     report = Report(ok=True)
     for N in range(2, max_N + 1):
@@ -95,13 +97,15 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
             duals = {lam: space.dual(lam) for lam in classes}
             if N <= _MAX_CLASSICAL_N:
                 words = {lam: word_01(lam, m, n) for lam in classes}
+                keys = {lam: puzzle.pack(w) for lam, w in words.items()}
                 for lam, mu in product(classes, repeat=2):
-                    _compare_puzzles(report, space, "1step", 0, words, duals, lam, mu, classes,
-                                     products(lam, mu))
+                    _compare_puzzles(report, space, "1step", 0, words, keys, duals, lam, mu,
+                                     classes, products(lam, mu))
             jd = [{lam: word_jd(lam, m, n, d) for lam in classes} for d in range(min(m, n) + 1)]
+            jd_keys = [{lam: puzzle.pack(w) for lam, w in words.items()} for words in jd]
             for (d, lam, mu), run in groupby(_graded_triples(classes, m, n),
                                              key=lambda t: t[:3]):
-                _compare_puzzles(report, space, "2step", d, jd[d], duals, lam, mu,
+                _compare_puzzles(report, space, "2step", d, jd[d], jd_keys[d], duals, lam, mu,
                                  [t[3] for t in run], products(lam, mu))
     return report
 

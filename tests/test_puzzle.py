@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import pytest
 
-from qschubert import combinat as C, puzzle as P, typea as A
+from qschubert import combinat as C, puzzle as P, typea as A, verify
 
 
 def test_projective_plane_golden():
@@ -73,6 +73,55 @@ def test_piece_tables_closed_under_rotation():
             assert (bottom, left, right) in up_set
         for top, left, right in down_set:
             assert (left, right, top) in down_set
+
+
+def _walk_row(ups, downs, top, left):
+    """Every (bottoms, right edge) of a row under ``top``, cell by cell from
+    its NW edge ``left``, trying the upward pieces in table order."""
+    out = []
+
+    def rec(j, left, bottoms):
+        for up_left, right, bottom in ups:
+            if up_left != left:
+                continue
+            if j == len(top):
+                out.append((bottoms + bottom, right))
+            for down_top, down_left, nxt in downs:
+                if j < len(top) and (down_top, down_left) == (top[j], right):
+                    rec(j + 1, nxt, bottoms + bottom)
+
+    rec(0, left, "")
+    return out
+
+
+@pytest.mark.parametrize("kind, ups, downs", [
+    ("1step", P._UP_PATTERNS_1, P._DOWN_PATTERNS_1),
+    ("2step", P._UP_PATTERNS_2, P._DOWN_PATTERNS_2)])
+def test_row_fillings_equal_a_cell_walk_of_the_pieces(kind, ups, downs):
+    # every top row of width <= 3 and every (left, right) edge pair, in
+    # order: dump_fillings lists fillings in the order of the rows
+    labels = sorted({label for piece in ups for label in piece})
+    for width in range(1, 5):
+        for top in map("".join, product(labels, repeat=width - 1)):
+            for left in labels:
+                walked = _walk_row(ups, downs, top, left)
+                for right in labels:
+                    got = P._row_fillings(kind, P.pack(top[::-1]), width,
+                                          P._CODE[left], P._CODE[right])
+                    assert got == tuple(P.pack(b[::-1]) for b, r in walked if r == right)
+
+
+def test_a_missing_two_step_piece_fails_the_puzzle_suite(monkeypatch):
+    ups = [piece for piece in P._UP_PATTERNS_2 if piece != ("c", "0", "e")]
+    assert len(ups) == len(P._UP_PATTERNS_2) - 1
+    monkeypatch.setitem(P._TABLES, "2step", P._index(ups, P._DOWN_PATTERNS_2))
+    P.clear_caches()
+    try:
+        report = verify.suite_puzzle_conjecture(max_N=5)
+    finally:
+        P.clear_caches()
+    assert not report.ok
+    assert any("2step" in failure for failure in report.failures)
 
 
 def _all_01_strings(N):
