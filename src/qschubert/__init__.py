@@ -36,20 +36,7 @@ _OWNERS = {
 _MODULES = ("cli", "combinat", "isotropic", "puzzle", "qpoly", "ring", "typea", "verify")
 _OWNER = {name: module for module, names in _OWNERS.items() for name in names}
 
-__all__ = [
-    "ContractViolation", "EPoly", "IsoQHElement", "LabelString", "Partition",
-    "QHElement", "Report", "SpecialMonomial", "conjugate",
-    "count_puzzles_1step", "count_puzzles_2step", "dims", "duality_check",
-    "expand_in_qtilde", "from_01_string", "giambelli_monomials",
-    "grassmann_permutation", "gw_a", "gw_a_puzzle", "gw_lg", "gw_og",
-    "hat_map", "jd_string", "line_number_check_lg", "partition",
-    "presentation_report_a", "presentation_report_isotropic",
-    "ptilde_structure", "qtilde_epoly", "qtilde_pieri", "qtilde_structure",
-    "quantum_pieri_a", "quantum_pieri_lg", "quantum_pieri_og",
-    "quantum_product_a", "quantum_product_lg", "quantum_product_og",
-    "rect_dual", "remove_columns", "skew_component_stats", "strict_dual",
-    "string012_to_permutation", "to_01_string",
-]
+__all__ = sorted(_OWNER)
 
 
 def __getattr__(name: str):

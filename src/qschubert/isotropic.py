@@ -28,9 +28,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import qpoly, ring
-from .combinat import (Partition, horizontal_strip_additions,
-                       horizontal_strip_removals, is_strict,
-                       skew_component_stats, trim)
+from .combinat import (Partition, _component_count, _skew_cells,
+                       horizontal_strip_additions, horizontal_strip_removals,
+                       is_strict, trim)
 from .ring import LG, OG, ContractViolation, IsoQHElement, Report, Space, giambelli_fold
 
 
@@ -44,12 +44,12 @@ def _pieri_lg(space: Space, lam: Partition, p: int):
     terms: dict[tuple[Partition, int], int] = {}
     for mu in horizontal_strip_additions(lam, p, max_part=n):
         if is_strict(mu):
-            _, off = skew_component_stats(lam, mu)
+            _, off = _component_count(_skew_cells(lam, mu))
             terms[(mu, 0)] = 1 << off
     drop = n + 1 - p
     for nu in horizontal_strip_removals(lam, drop):
         if is_strict(nu):
-            comps, _ = skew_component_stats(nu, lam)
+            comps, _ = _component_count(_skew_cells(nu, lam))
             terms[(nu, 1)] = 1 << (comps - 1)
     return terms
 
@@ -59,7 +59,7 @@ def _pieri_og(space: Space, lam: Partition, p: int):
     n = space.n
     terms: dict[tuple[Partition, int], int] = {}
     for mu in horizontal_strip_additions(lam, p, max_part=n):
-        comps, _ = skew_component_stats(lam, mu)
+        comps, _ = _component_count(_skew_cells(lam, mu))
         if is_strict(mu):
             terms[(mu, 0)] = 1 << (comps - 1)
         elif len(mu) >= 2 and mu[0] == n and mu[1] == n and is_strict(mu[2:]):

@@ -32,12 +32,13 @@ which is built apart from the tables), the puzzle route and the
 presentation.  The element class, the fold and the invariant are shared
 with LG and OG in :mod:`qschubert.ring`.
 
-Inside the production product a class is one integer key: its parts are
-mixed-radix digits above a low field holding |lam|, so adding the keys of
-its rows builds a class and its weight at once.  A key has no degree
-field: every term of one Laplace state has the same graded weight
-|nu| + d*N, so its class fixes its degree, which is read off only where
-the product returns partitions.
+Inside the production product a class is one integer key: its 01-word
+(part lam_i of row i = 0..m-1 sets bit lam_i + m-1-i, the zero rows the
+trailing ones) above a low field holding |lam|, so adding the keys of its
+rows builds a class and its weight at once, and s[n] turns the word.  A
+key has no degree field: every term of one Laplace state has the same
+graded weight |nu| + d*N, so its class fixes its degree, which is read
+off only where the product returns partitions.
 """
 
 from __future__ import annotations
@@ -73,39 +74,40 @@ def _pieri_map(space: Space, lam: Partition, p: int):
 
 @lru_cache(maxsize=None)
 def _layout(space: Space):
-    """The packed key of a class of G(m, N): part lam_i is the digit
-    lam_i * (n+1)^i above a low field of ``shift`` bits that holds |lam|, so
-    adding the keys of the rows, ``digits[i][lam_i]`` = lam_i * ((n+1)^i <<
-    shift | 1), adds both fields.  Table rows are 8-byte words while keys fit."""
+    """The packed key of a class of G(m, N): its 01-word, part lam_i of row
+    i = 0..m-1 setting bit lam_i + m-1-i, above a low field of ``shift`` bits
+    that holds |lam|.  Those bits differ row by row, so adding the keys of
+    the m rows, ``digits[i][lam_i]`` = (1 << lam_i + m-1-i) << shift | lam_i,
+    builds both fields.  Table rows are 8-byte words while keys fit."""
     m, n = space.m, space.n
     shift = (m * n).bit_length()
-    fits = (n + 1) ** m << shift <= 1 << 63  # every key is below (n+1)^m << shift
-    return shift, tuple(tuple(x * ((n + 1) ** i << shift | 1) for x in range(n + 1))
-                        for i in range(m)), partial(array, "q") if fits else tuple
+    return shift, tuple(tuple((1 << x + m - 1 - i) << shift | x for x in range(n + 1))
+                        for i in range(m)), partial(array, "q") if m + n + shift <= 63 else tuple
 
 
 def _key(space: Space, lam: Partition) -> int:
-    return sum(map(tuple.__getitem__, _layout(space)[1], lam))
+    return sum(map(tuple.__getitem__, _layout(space)[1], lam + (0,) * (space.m - len(lam))))
 
 
 @lru_cache(maxsize=None)
-def _parts(digits: int, radix: int) -> Partition:
-    """The partition of a key's digits, key >> shift, in base n + 1, memoised
-    because every product decodes its result's classes; parts are weakly
-    decreasing, so the digits end at the first zero part."""
+def _partition(m: int, word: int) -> Partition:
+    """The class of a 01-word, key >> shift: the i-th 1 from the top, at bit
+    b, is the part b - m + i; the zero parts are the trailing ones.  Memoised
+    because every product decodes its result's classes."""
     parts = []
-    while digits:
-        digits, x = divmod(digits, radix)
-        parts.append(x)
+    while word & word + 1:
+        top = word.bit_length() - 1
+        parts.append(top - m + 1 + len(parts))
+        word ^= 1 << top
     return tuple(parts)
 
 
 def _decode(space: Space, elem: dict, weight: int) -> dict:
     """{(nu, d): c} of {key: c}, a product of graded weight |nu| + d * N; on
     G(0, 0), where N = 0, products expand no rows and stay in degree 0."""
-    shift, radix, N = _layout(space)[0], space.n + 1, space.m + space.n
+    shift, m, N = _layout(space)[0], space.m, space.m + space.n
     mask = (1 << shift) - 1
-    return {(_parts(key >> shift, radix), (weight - (key & mask)) // N if N else 0): c
+    return {(_partition(m, key >> shift), (weight - (key & mask)) // N if N else 0): c
             for key, c in elem.items()}
 
 
@@ -119,7 +121,7 @@ def _pieri_table(space: Space, key: int):
     m, n = space.m, space.n
     shift, digits, row = _layout(space)
     mask = (1 << shift) - 1
-    base, lam = key & mask, _parts(key >> shift, n + 1)
+    base, lam = key & mask, _partition(m, key >> shift)
     lam += (0,) * (m - len(lam))
     rows: list[list[int]] = [[] for _ in range(n + 1)]
     for kappa in map(sum, product(*(d[lo:hi + 1] for d, lo, hi in zip(digits, lam, (n,) + lam)))):
@@ -184,26 +186,18 @@ def giambelli_monomials(lam, m: int, n: int) -> list[SpecialMonomial]:
             for sign, factors in _det_factor_entries(lam, n)]
 
 
-def _word(m: int, lam: Partition) -> int:
-    """The 01-word of a class of G(m, N) as an N-bit integer: part lam_i sets
-    bit lam_i + m - i, so the rows with lam_i = 0 are the trailing ones."""
-    word = (1 << m - len(lam)) - 1
-    for i, x in enumerate(lam, 1):
-        word |= 1 << x + m - i
-    return word
-
-
 @lru_cache(maxsize=None)
-def _turn(m: int, n: int, word: int, weight: int, back: bool) -> tuple[int, int, int]:
+def _turn(space: Space, key: int, back: bool) -> tuple[int, int, int]:
     """(rows, -weight, a) of the cheapest class s[n]^a * lam, a = 0..N-1, or
-    of s[n]^-a * lam if ``back``, lam given by its 01-word (not all ones)
-    and its weight: the fewest rows, then the heaviest, then the smallest a.
+    of s[n]^-a * lam if ``back``, lam given by its key (its 01-word not all
+    ones): the fewest rows, then the heaviest, then the smallest a.
 
     s[n]^s turns the word s places down, so its rows are m less the run of
     ones from bit s up, cyclically, fewest where s starts a longest run; its
     weight gains s * n less N for each 0 that wraps round.  s[n]^-a is the
     class s[n]^(N-a), since s[n]^N = q^n."""
-    N = m + n
+    m, n, shift = space.m, space.n, _layout(space)[0]
+    N, word, weight = m + n, key >> shift, key & (1 << shift) - 1
     runs, length = word, 0
     while runs:  # after k rounds, the bits that start k + 1 ones in a row
         starts = runs
@@ -218,32 +212,22 @@ def _turn(m: int, n: int, word: int, weight: int, back: bool) -> tuple[int, int,
     return best
 
 
-def _partition(m: int, word: int) -> Partition:
-    """The class of a 01-word: the i-th 1 from the top, at bit b, is the
-    part b - m + i; the zero parts are the trailing ones."""
-    parts = []
-    while word & word + 1:
-        top = word.bit_length() - 1
-        parts.append(top - m + 1 + len(parts))
-        word ^= 1 << top
-    return tuple(parts)
-
-
 def _cheapest_pair(space: Space, lam: Partition, mu: Partition):
     """(lam', mu', e) with s[lam] * s[mu] = q^e * s[lam'] * s[mu'], the pair
     (s[n]^a lam, s[n]^-a mu) of the rotation orbit whose expanded factor is
     cheapest by (rows, -weight), ties to the smallest a, so a = 0 unless a
     rotation is cheaper; e is read off the grading.  A factor of at most
     one row is already cheap, and skips the search; each factor's best
-    turn is memoised, one :func:`_turn` entry per class and direction."""
+    turn is memoised, one :func:`_turn` entry per class and direction, and
+    a turn rotates the 01-word of the class's key."""
     if len(lam) < 2 or len(mu) < 2:
         return lam, mu, 0
-    m, n = space.m, space.n
-    u, v = _word(m, lam), _word(m, mu)
-    a = min(_turn(m, n, u, sum(lam), False), _turn(m, n, v, sum(mu), True))[2]
+    u, v = _key(space, lam), _key(space, mu)
+    a = min(_turn(space, u, False), _turn(space, v, True))[2]
     if not a:
         return lam, mu, 0
-    N, full = m + n, (1 << m + n) - 1
+    m, shift, N = space.m, _layout(space)[0], space.m + space.n
+    u, v, full = u >> shift, v >> shift, (1 << N) - 1
     lam2 = _partition(m, (u >> a | u << N - a) & full)
     mu2 = _partition(m, (v << a | v >> N - a) & full)
     return lam2, mu2, (sum(lam) + sum(mu) - sum(lam2) - sum(mu2)) // N

@@ -26,7 +26,7 @@ def test_clear_caches_empties_every_lru_cache():
     caches = _lru_caches()
     assert {"qschubert.puzzle._row_fillings", "qschubert.ring.fold",
             "qschubert.typea._det_terms", "qschubert.typea._laplace_product",
-            "qschubert.typea._pieri_table",
+            "qschubert.typea._partition", "qschubert.typea._pieri_table",
             "qschubert.isotropic._product_og", "qschubert.qpoly._transition",
             "qschubert.qpoly._pfaffian_first_row"} <= set(caches)
     assert {name for name, fn in caches.items() if not fn.cache_info().currsize} == set()

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import pathlib
 import time
 import warnings
@@ -213,11 +214,11 @@ def test_pieri_map_by_s_n_is_one_turned_term():
     for N in range(2, 11):
         for m in range(1, N):
             space = ring.Space(ring.A, m, N - m)
-            full = (1 << N) - 1
+            full, shift = (1 << N) - 1, A._layout(space)[0]
             for lam in C.partitions_in_box(m, N - m):
                 nu, d = _turned_by_pieri(space, lam)
                 assert A._pieri_map(space, lam, N - m) == {(nu, d): 1}, (space, lam)
-                word = A._word(m, lam)
+                word = A._key(space, lam) >> shift
                 assert A._partition(m, word) == lam
                 assert A._partition(m, (word >> 1 | word << N - 1) & full) == nu
             ring.clear_caches()
@@ -235,10 +236,10 @@ def test_cheapest_turn_equals_the_orbit_walk():
                 for _ in range(N - 1):
                     (nu, _), = A._pieri_map(space, orbit[-1], N - m)
                     orbit.append(nu)
-                word = A._word(m, lam)
+                key = A._key(space, lam)
                 for back, turned in ((False, orbit), (True, orbit[:1] + orbit[:0:-1])):
                     want = min((len(nu), -sum(nu), a) for a, nu in enumerate(turned))
-                    assert A._turn(m, N - m, word, sum(lam), back) == want, (space, lam, back)
+                    assert A._turn(space, key, back) == want, (space, lam, back)
 
 
 def test_staircase_times_a_full_column_is_one_rotation():
@@ -295,13 +296,13 @@ def test_pieri_table_equals_the_per_p_maps():
     assert pairs == 11_264
 
 
-@pytest.mark.parametrize("m", [14, 16, 20])
+@pytest.mark.parametrize("m", [14, 26, 27])
 def test_wide_keys_match_the_fold(m):
-    """On G(m, 2m) a key outgrows a machine word from m = 16 on (m = 14 still
+    """On G(m, 2m) a key outgrows a machine word from m = 27 on (m = 26 still
     fits).  A product with s[1] against the fold, and one of two full-length
     classes against the fold on the conjugate side, where s[1^m] is one row."""
     space = ring.Space(ring.A, m, m)
-    assert (A._layout(space)[2] is tuple) == (m > 14)
+    assert (A._layout(space)[2] is tuple) == (m > 26)
     ones = (1,) * m
     assert A.quantum_product_a(ones, (1,), m, m).coeffs == ring.giambelli_fold(space, ones, (1,))
     hook = (m,) + (1,) * (m - 1)  # self-conjugate
@@ -336,16 +337,29 @@ def _classes(draw, min_N=0):
 def test_packed_key_round_trip_and_weight(case):
     space, lam = case
     key, shift = A._key(space, lam), A._layout(space)[0]
-    assert A._parts(key >> shift, space.n + 1) == lam
+    assert A._partition(space.m, key >> shift) == lam
     assert key & ((1 << shift) - 1) == sum(lam)
 
 
-def test_packed_keys_of_distinct_classes_differ():
+def test_packed_key_is_the_01_word_and_the_weight():
+    """Every class of every G(m, N) with N <= 12: above the low field the key
+    has bit b set exactly where ``word_01`` has a 0 at position b, the low
+    field is |lam|, and ``_partition`` inverts the word, so the keys of
+    distinct classes differ."""
+    classes = 0
     for N in range(13):
         for m in range(N + 1):
             space = ring.Space(ring.A, m, N - m)
-            classes = C.partitions_in_box(m, N - m)
-            assert len({A._key(space, lam) for lam in classes}) == len(classes)
+            shift = A._layout(space)[0]
+            for lam in C.partitions_in_box(m, N - m):
+                key = A._key(space, lam)
+                word = C.word_01(lam, m, N - m)
+                assert key >> shift == sum(1 << b for b, x in enumerate(word) if x == "0"), \
+                    (space, lam)
+                assert key & (1 << shift) - 1 == sum(lam)
+                assert A._partition(m, key >> shift) == lam
+                classes += 1
+    assert classes == sum(math.comb(N, m) for N in range(13) for m in range(N + 1))
 
 
 @settings(max_examples=300, deadline=None)

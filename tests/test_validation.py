@@ -66,6 +66,19 @@ def test_isotropic_products_canonicalise_no_partition(canonicalised, kind):
     assert canonicalised == []
 
 
+@pytest.mark.parametrize("kind", [ring.LG, ring.OG])
+def test_isotropic_pieri_folds_canonicalise_no_partition(canonicalised, kind):
+    # the LG and OG Pieri rules read the components of skew shapes the
+    # engine built, without checking those shapes again
+    space = ring.Space(kind, None, 3)
+    classes = combinat.strict_partitions_max(3)
+    ring.clear_caches()
+    for lam in classes:
+        for mu in classes:
+            ring.giambelli_fold(space, lam, mu)
+    assert canonicalised == []
+
+
 def test_puzzle_suite_compares_every_coefficient(monkeypatch):
     # one coefficient of one ordered product on G(2,4) is off by one: exactly
     # the checks reading it fail, the 1-step one for every nu at d = 0 and
