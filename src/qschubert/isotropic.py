@@ -3,24 +3,21 @@ maximal orthogonal Grassmannian OG(n+1, 2n+2).
 
 Both rings have Schubert bases indexed by strict partitions with parts at
 most n.  The deformation parameter q has degree n+1 on LG and 2n on OG.
-Products are computed through the Pfaffian-polynomial structure constants
-of :mod:`qschubert.qpoly`:
+A class is a Pfaffian of two-row classes (quantum Giambelli); taken in
+the e-basis, that Pfaffian is the polynomial of :mod:`qschubert.qpoly`
+with the same index.  On LG it is read in n+1 variables with e_(n+1) as
+q/2, so the coefficient of q^d * s[nu] in s[lam] * s[mu] is 2^(-d) times
+the structure constant at ((n+1)^d, nu).  On OG it is read in n variables
+with e_k as 2 t[k], so the coefficient of q^d * t[nu] is the rescaled
+structure constant at (n^(2d), nu).
 
-* on LG, the coefficient of q^d * s[nu] in s[lam] * s[mu] is
-  2^(-d) times the structure constant at ((n+1)^d, nu) computed in n+1
-  variables (the power of two always divides exactly);
-* on OG, the coefficient of q^d * t[nu] is the rescaled structure
-  constant at (n^(2d), nu) computed in n variables.
-
-Each ring also carries a quantum Pieri rule and a Pfaffian Giambelli
-expansion; products can be recomputed by folding Giambelli monomials
-through the Pieri rule, and the two routes are required to agree.
-
-This module holds what is particular to LG and OG: the two quantum Pieri
-rules, the two-row Giambelli formulas and the Pfaffian expansion over
-them, the e-basis route, duality, line numbers and presentations.  The
-element class, the fold, the Giambelli-fold product and the invariant
-are shared with G(m, N) in :mod:`qschubert.ring`.
+These products are the e-basis route.  Folding the Giambelli terms of one
+factor through the quantum Pieri rule recomputes them, and the two routes
+are required to agree.  This module holds what is particular to LG and
+OG: the two quantum Pieri rules, the two-row Giambelli formulas, both
+readings of the e-basis, duality, line numbers and presentations.  The
+element class, the fold, the Giambelli-fold product and the invariant are
+shared with G(m, N) in :mod:`qschubert.ring`.
 """
 
 from __future__ import annotations
@@ -59,11 +56,10 @@ def _pieri_og(space: Space, lam: Partition, p: int):
     n = space.n
     terms: dict[tuple[Partition, int], int] = {}
     for mu in horizontal_strip_additions(lam, p, max_part=n):
-        comps, _ = _component_count(_skew_cells(lam, mu))
         if is_strict(mu):
-            terms[(mu, 0)] = 1 << (comps - 1)
+            terms[(mu, 0)] = 1 << (_component_count(_skew_cells(lam, mu))[0] - 1)
         elif len(mu) >= 2 and mu[0] == n and mu[1] == n and is_strict(mu[2:]):
-            terms[(mu[2:], 1)] = 1 << (comps - 1)
+            terms[(mu[2:], 1)] = 1 << (_component_count(_skew_cells(lam, mu))[0] - 1)
     return terms
 
 
@@ -89,7 +85,7 @@ def quantum_pieri_og(lam, p: int, n: int) -> IsoQHElement:
 
 @lru_cache(maxsize=None)
 def _two_row_terms(space: Space, i: int, j: int):
-    """Quantum Giambelli for the two-row index (i, j), i >= j, as
+    """Quantum Giambelli for the two-row index (i, j), i >= j >= 1, as
     {(q power, special factors): coeff}:
 
         LG: s[i,j] = s[i]s[j] + 2 sum_{k=1}^{j} (-1)^k s[i+k]s[j-k]
@@ -101,8 +97,6 @@ def _two_row_terms(space: Space, i: int, j: int):
     when i + j <= n.
     """
     n = space.n
-    if j == 0:
-        return {(0, (i,) if i else ()): 1}
     terms = {(0, (i, j)): 1}
     for k in range(1, min(j, n - i) + 1):
         factors = (i + k, j - k) if k < j else (i + j,)
@@ -113,25 +107,29 @@ def _two_row_terms(space: Space, i: int, j: int):
     return terms
 
 
+def _read_q(coeffs: dict[Partition, int], n: int) -> dict:
+    """Terms c * e_key in n+1 variables read on LG, with e_(n+1) as q/2:
+    {(d, rest): c / 2^d} for key = (n+1)^d + rest, each division exact."""
+    out = {}
+    for key, c in coeffs.items():
+        d = key.count(n + 1)  # parts are at most n+1, so these lead
+        out[(d, key[d:])], r = divmod(c, 1 << d)
+        if r:
+            raise ContractViolation(f"constant {c} at {key} not divisible by 2^{d}")
+    return out
+
+
 @lru_cache(maxsize=None)
-def _pfaffian_terms(space: Space, lam: Partition):
-    """A class as signed q-power monomials in special classes, by Laplace
-    expansion of its Pfaffian along pairs containing the last entry."""
-    if len(lam) <= 1:
-        return {(0, lam): 1}
-    if len(lam) == 2:
-        return _two_row_terms(space, *lam)
-    parts = lam if len(lam) % 2 == 0 else lam + (0,)
-    r = len(parts)
-    out: dict[tuple[int, tuple[int, ...]], int] = {}
-    for idx in range(r - 1):
-        sign = (-1) ** idx
-        rest = parts[:idx] + parts[idx + 1:r - 1]
-        for (d1, f1), c1 in _two_row_terms(space, parts[idx], parts[r - 1]).items():
-            for (d2, f2), c2 in _pfaffian_terms(space, rest).items():
-                key = (d1 + d2, tuple(sorted(f1 + f2, reverse=True)))
-                out[key] = out.get(key, 0) + sign * c1 * c2
-    return {k: c for k, c in out.items() if c != 0}
+def _giambelli_lg(space: Space, lam: Partition):
+    """The Pfaffian polynomial of lam in n+1 variables, read by :func:`_read_q`."""
+    return _read_q(qpoly._qtilde(lam, space.n + 1).coeffs, space.n)
+
+
+@lru_cache(maxsize=None)
+def _giambelli_og(space: Space, lam: Partition):
+    """The Pfaffian polynomial of lam in n variables, with e_k read as 2 t[k]."""
+    coeffs = qpoly._rescaled(qpoly._qtilde(lam, space.n).coeffs, len(lam))
+    return {(0, factors): c for factors, c in coeffs.items()}
 
 
 def quantum_product_lg_pfaffian(lam, mu, n: int) -> IsoQHElement:
@@ -150,20 +148,8 @@ def quantum_product_og_pfaffian(lam, mu, n: int) -> IsoQHElement:
 
 @lru_cache(maxsize=None)
 def _product_lg(space: Space, lam: Partition, mu: Partition):
-    n = space.n
-    out: dict[tuple[Partition, int], int] = {}
-    for key, c in qpoly._structure(lam, mu, n + 1).items():
-        d = 0
-        while d < len(key) and key[d] == n + 1:
-            d += 1
-        rest = key[d:]
-        if not is_strict(rest):
-            continue
-        q, r = divmod(c, 1 << d)
-        if r:
-            raise ContractViolation(f"constant {c} at {key} not divisible by 2^{d}")
-        out[(rest, d)] = q
-    return out
+    terms = _read_q(qpoly._structure(lam, mu, space.n + 1), space.n)
+    return {(rest, d): c for (d, rest), c in terms.items() if is_strict(rest)}
 
 
 @lru_cache(maxsize=None)
@@ -171,9 +157,7 @@ def _product_og(space: Space, lam: Partition, mu: Partition):
     n = space.n
     out: dict[tuple[Partition, int], int] = {}
     for key, c in qpoly._rescaled(qpoly._structure(lam, mu, n), len(lam) + len(mu)).items():
-        mult = 0
-        while mult < len(key) and key[mult] == n:
-            mult += 1
+        mult = key.count(n)  # parts are at most n, so these lead
         rest = key[mult:]
         if not is_strict(rest):
             continue
@@ -324,8 +308,8 @@ def presentation_report_isotropic(flavor: str, n: int) -> Report:
     return Report(ok=not failures, checked=checked, failures=failures)
 
 
-for _kind, _pieri, _product in ((LG, _pieri_lg, _product_lg),
-                                (OG, _pieri_og, _product_og)):
+for _kind, _pieri, _giambelli, _product in ((LG, _pieri_lg, _giambelli_lg, _product_lg),
+                                            (OG, _pieri_og, _giambelli_og, _product_og)):
     ring.PIERI[_kind] = _pieri
-    ring.GIAMBELLI[_kind] = _pfaffian_terms
+    ring.GIAMBELLI[_kind] = _giambelli
     ring.PRODUCT[_kind] = _product

@@ -281,11 +281,15 @@ def _expand(terms: dict[int, int], n: int) -> dict[Partition, int]:
 
 def qtilde_structure(lam, mu, n: int) -> dict[Partition, int]:
     """Structure constants of the product of two basis elements."""
+    return _structure(*_checked(lam, mu, n), n)
+
+
+def _checked(lam, mu, n: int) -> tuple[Partition, Partition]:
     lam, mu = partition(lam), partition(mu)
     if (lam and lam[0] > n) or (mu and mu[0] > n):
         raise ValueError(f"parts must be at most n={n}")
     _width(n, sum(lam) + sum(mu))
-    return _structure(lam, mu, n)
+    return lam, mu
 
 
 def _structure(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
@@ -299,8 +303,8 @@ def ptilde_structure(lam, mu, n: int) -> dict[Partition, int]:
     plain ones and are always integers; a failure of divisibility means
     the engine is broken, not bad input.
     """
-    lam, mu = partition(lam), partition(mu)
-    return _rescaled(qtilde_structure(lam, mu, n), len(lam) + len(mu))
+    lam, mu = _checked(lam, mu, n)
+    return _rescaled(_structure(lam, mu, n), len(lam) + len(mu))
 
 
 def _rescaled(structure: dict[Partition, int], shift: int) -> dict[Partition, int]:

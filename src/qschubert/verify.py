@@ -233,14 +233,12 @@ def suite_qtilde_properties(max_n: int = 4, max_weight: int = 12) -> Report:
             for mu in strict_partitions_max(n):
                 if sum(lam) + sum(mu) > max_weight:
                     continue
-                for key, c in qpoly._structure(lam, mu, n + 1).items():
-                    d = 0
-                    while d < len(key) and key[d] == n + 1:
-                        d += 1
-                    if d:
-                        report.checked += 1
-                        if c % (1 << d):
-                            _note(report, f"2^{d} does not divide {c} at {key}, n={n}")
+                structure = qpoly._structure(lam, mu, n + 1)
+                report.checked += sum(n + 1 in key for key in structure)
+                try:
+                    isotropic._read_q(structure, n)
+                except ring.ContractViolation as exc:
+                    _note(report, f"{exc}, n={n}")
     return report
 
 

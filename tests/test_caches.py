@@ -23,6 +23,7 @@ def test_clear_caches_empties_every_lru_cache():
     isotropic.quantum_product_lg((2,), (2, 1), 3, cross_check=True)
     isotropic.quantum_product_og((2,), (2, 1), 3, cross_check=True)
     qpoly.qtilde_pfaffian_first_row((3, 2, 1), 3)
+    isotropic.presentation_report_isotropic(ring.LG, 2)  # the only reader of _two_row_terms
     caches = _lru_caches()
     assert {"qschubert.puzzle._row_fillings", "qschubert.ring.fold",
             "qschubert.typea._det_terms", "qschubert.typea._laplace_product",

@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import pytest
 
-from qschubert import combinat as C, isotropic as I
+from qschubert import combinat as C, isotropic as I, qpoly as Q, ring
 
 
 def LG(n, coeffs):
@@ -163,3 +165,59 @@ def test_gw_nonnegative_small():
 def test_text_symbols():
     assert I.quantum_product_og((2,), (2,), 2).text() == "q*t[]"
     assert I.quantum_product_lg((2,), (1,), 2).text() == "s[2,1] + q*s[]"
+
+
+def test_giambelli_terms_equal_the_last_entry_expansion():
+    # the Pfaffian of the written two-row formulas, expanded along pairs
+    # containing the last entry with one term per position, no runs merged
+    @lru_cache(maxsize=None)
+    def pfaffian(space, lam):
+        if len(lam) <= 1:
+            return {(0, lam): 1}
+        parts = lam if len(lam) % 2 == 0 else lam + (0,)
+        last = parts[-1]
+        out = {}
+        for idx, part in enumerate(parts[:-1]):
+            pair = I._two_row_terms(space, part, last) if last else {(0, (part,)): 1}
+            for (d1, f1), c1 in pair.items():
+                for (d2, f2), c2 in pfaffian(space, parts[:idx] + parts[idx + 1:-1]).items():
+                    key = (d1 + d2, tuple(sorted(f1 + f2, reverse=True)))
+                    out[key] = out.get(key, 0) + (-1) ** idx * c1 * c2
+        return {k: c for k, c in out.items() if c}
+
+    for kind in (I.LG, I.OG):
+        for n in range(7):
+            space = I.Space(kind, None, n)
+            for lam in C.strict_partitions_max(n):
+                assert space.giambelli(lam) == pfaffian(space, lam), (kind, n, lam)
+            for i in range(1, n + 1):
+                for j in range(1, i + 1):
+                    assert space.giambelli((i, j)) == I._two_row_terms(space, i, j), (kind, n, i, j)
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (2, 2)])
+def test_a_wrong_pair_coefficient_fails_the_cross_check(monkeypatch, pair):
+    # both routes read the Pfaffian polynomials, so one wrong coefficient of
+    # the pair (2, 1) (a Giambelli entry of each class with parts 2 and 1) or
+    # (2, 2) (in basis rows only) must still make them disagree or break an
+    # exact division
+    exact = Q._pair_epoly
+
+    def mutated(i, j, n):
+        f = exact(i, j, n)
+        if (i, j) != pair or i >= n:
+            return f
+        key = Q._key(C.trim((i + 1, j - 1)), n)
+        return Q.EPoly._of(n, {**f.terms, key: f.terms[key] + 1})
+
+    monkeypatch.setattr(Q, "_pair_epoly", mutated)
+    ring.clear_caches()
+    try:
+        for product in (I.quantum_product_lg, I.quantum_product_og):
+            with pytest.raises(ring.ContractViolation):
+                for n in range(1, 5):
+                    for lam in C.strict_partitions_max(n):
+                        for mu in C.strict_partitions_max(n):
+                            product(lam, mu, n, cross_check=True)
+    finally:
+        ring.clear_caches()

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from qschubert import combinat, isotropic, ring, typea, verify
+from qschubert import combinat, isotropic, qpoly, ring, typea, verify
 
 
 @pytest.fixture
@@ -53,6 +53,11 @@ def test_qtilde_suite_canonicalises_no_partition(canonicalised):
     report = verify.suite_qtilde_properties(max_n=3, max_weight=8)
     assert report.ok and report.checked > 0
     assert canonicalised == []
+
+
+def test_ptilde_structure_canonicalises_each_argument_once(canonicalised):
+    assert qpoly.ptilde_structure([2, 1], [1], 3) == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
+    assert canonicalised == [[2, 1], [1]]
 
 
 @pytest.mark.parametrize("kind", [ring.LG, ring.OG])
