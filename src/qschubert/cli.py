@@ -9,7 +9,7 @@ invocations produce identical bytes.  Exit codes: 0 success, 1 domain
 error, 2 usage error, 3 internal contract violation.
 
 Product-shaped results can be cached in a line-delimited file of JSON
-records keyed by a hash of the query and the engine version; stale
+records, each keyed by the query itself and the engine version; stale
 versions and unreadable records are misses.  The location comes from
 ``--cache``, falling back to the ``QSCHUBERT_CACHE`` environment
 variable.
@@ -17,9 +17,8 @@ variable.
 Every call is a fresh process, so this module imports only ``ring`` and
 ``combinat`` up front.  The chosen space's module (``typea``, or
 ``isotropic`` with ``qpoly``) loads on the first lookup in the ``ring``
-registries, and ``puzzle``, ``verify``, ``inspect`` and ``hashlib`` are
-imported inside the commands that use them (``hashlib`` only when a
-cache path is set).
+registries, and ``puzzle``, ``verify`` and ``inspect`` are imported
+inside the commands that use them.
 """
 
 from __future__ import annotations
@@ -62,13 +61,6 @@ def _result_json(query: dict, coeffs) -> str:
     return json.dumps({"query": query, "result": entries}, sort_keys=True)
 
 
-def _cache_key(query: dict) -> str:
-    import hashlib
-
-    payload = json.dumps({"query": query, "version": ENGINE_VERSION}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def _cached_coeffs(entries, space: Space) -> dict:
     """The coefficients of a cached result, each entry checked as a caller's."""
     coeffs = {}
@@ -79,7 +71,7 @@ def _cached_coeffs(entries, space: Space) -> dict:
     return coeffs
 
 
-def _cache_lookup(path: str | None, key: str, space: Space):
+def _cache_lookup(path: str | None, key: dict, space: Space):
     if not path or not os.path.exists(path):
         return None
     with open(path, encoding="utf-8") as fh:
@@ -96,7 +88,7 @@ def _cache_lookup(path: str | None, key: str, space: Space):
     return None
 
 
-def _cache_store(path: str | None, key: str, coeffs):
+def _cache_store(path: str | None, key: dict, coeffs):
     if not path:
         return
     record = {"key": key, "version": ENGINE_VERSION,
@@ -124,11 +116,10 @@ def _cmd_qprod(args, space: Space) -> str:
     query = {"cmd": "qprod", "space": args.space, "m": args.m, "n": args.n,
              "lambda": list(lam), "mu": list(mu)}
     cache_path = args.cache or os.environ.get("QSCHUBERT_CACHE")
-    key = _cache_key(query) if cache_path else None
-    coeffs = _cache_lookup(cache_path, key, space)
+    coeffs = _cache_lookup(cache_path, query, space)
     if coeffs is None:
         coeffs = space.element(ring.PRODUCT[space.kind](space, lam, mu)).coeffs
-        _cache_store(cache_path, key, coeffs)
+        _cache_store(cache_path, query, coeffs)
     if args.format == "json":
         return _result_json(query, coeffs)
     return space.element(coeffs).text()

@@ -243,49 +243,33 @@ def permutation_length(w: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
 
 
-def skew_cells(lam: Partition, mu: Partition) -> list[tuple[int, int]]:
-    """Cells of mu/lam as 1-indexed (row, column) pairs; requires lam inside mu."""
-    lam, mu = partition(lam), partition(mu)
-    if not contains(lam, mu):
-        raise ValueError(f"{lam} is not contained in {mu}")
-    return _skew_cells(lam, mu)
-
-
-def _skew_cells(lam: Partition, mu: Partition) -> list[tuple[int, int]]:
-    padded = lam + (0,) * (len(mu) - len(lam))
-    return [(i + 1, j + 1) for i in range(len(mu)) for j in range(padded[i], mu[i])]
-
-
-def _component_count(cells) -> tuple[int, int]:
-    """Components of a cell set under vertex-or-edge adjacency, plus how many
-    avoid column 1."""
-    todo = set(cells)
-    components = off_first = 0
-    while todo:
-        components += 1
-        stack = [todo.pop()]
-        meets_first = False
-        while stack:
-            i, j = stack.pop()
-            if j == 1:
-                meets_first = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    nb = (i + di, j + dj)
-                    if nb in todo:
-                        todo.remove(nb)
-                        stack.append(nb)
-        if not meets_first:
-            off_first += 1
-    return components, off_first
-
-
 def skew_component_stats(lam: Partition, mu: Partition) -> tuple[int, int]:
     """(connected components of mu/lam, components not meeting column 1).
 
     Two cells are connected when they share an edge or a vertex.
     """
-    return _component_count(skew_cells(lam, mu))
+    lam, mu = partition(lam), partition(mu)
+    if not contains(lam, mu):
+        raise ValueError(f"{lam} is not contained in {mu}")
+    return _components(lam, mu)
+
+
+def _components(lam: Partition, mu: Partition) -> tuple[int, int]:
+    """:func:`skew_component_stats` of canonical lam inside mu, row by row.
+
+    Each row of mu/lam is one run of cells.  A nonempty row i+1 joins the
+    component above exactly when row i is nonempty and mu_(i+1) >= lam_i,
+    so that the two runs share an edge or a corner.  The rows that meet
+    column 1 are the rows below lam, and they form one component.
+    """
+    comps, above = 0, None  # above: lam_i when row i is nonempty
+    for lo, hi in zip(lam + (0,) * (len(mu) - len(lam)), mu):
+        if lo < hi:
+            comps += above is None or hi < above
+            above = lo
+        else:
+            above = None
+    return comps, comps - (len(mu) > len(lam))
 
 
 # ---------------------------------------------------------------------------

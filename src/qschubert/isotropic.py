@@ -25,9 +25,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import qpoly, ring
-from .combinat import (Partition, _component_count, _skew_cells,
-                       horizontal_strip_additions, horizontal_strip_removals,
-                       is_strict, trim)
+from .combinat import (Partition, _components, horizontal_strip_additions,
+                       horizontal_strip_removals, is_strict, trim)
 from .ring import LG, OG, ContractViolation, IsoQHElement, Report, Space, giambelli_fold
 
 
@@ -37,17 +36,14 @@ from .ring import LG, OG, ContractViolation, IsoQHElement, Report, Space, giambe
 
 @lru_cache(maxsize=None)
 def _pieri_lg(space: Space, lam: Partition, p: int):
+    """The classical terms are the strict terms of :func:`qpoly._pieri`,
+    2^(components off column 1) each; the q-terms remove n+1-p boxes with
+    multiplicity 2^(components - 1)."""
     n = space.n
-    terms: dict[tuple[Partition, int], int] = {}
-    for mu in horizontal_strip_additions(lam, p, max_part=n):
-        if is_strict(mu):
-            _, off = _component_count(_skew_cells(lam, mu))
-            terms[(mu, 0)] = 1 << off
-    drop = n + 1 - p
-    for nu in horizontal_strip_removals(lam, drop):
+    terms = {(mu, 0): c for mu, c in qpoly._pieri(lam, p, n).items() if is_strict(mu)}
+    for nu in horizontal_strip_removals(lam, n + 1 - p):
         if is_strict(nu):
-            comps, _ = _component_count(_skew_cells(nu, lam))
-            terms[(nu, 1)] = 1 << (comps - 1)
+            terms[(nu, 1)] = 1 << (_components(nu, lam)[0] - 1)
     return terms
 
 
@@ -57,9 +53,9 @@ def _pieri_og(space: Space, lam: Partition, p: int):
     terms: dict[tuple[Partition, int], int] = {}
     for mu in horizontal_strip_additions(lam, p, max_part=n):
         if is_strict(mu):
-            terms[(mu, 0)] = 1 << (_component_count(_skew_cells(lam, mu))[0] - 1)
+            terms[(mu, 0)] = 1 << (_components(lam, mu)[0] - 1)
         elif len(mu) >= 2 and mu[0] == n and mu[1] == n and is_strict(mu[2:]):
-            terms[(mu[2:], 1)] = 1 << (_component_count(_skew_cells(lam, mu))[0] - 1)
+            terms[(mu[2:], 1)] = 1 << (_components(lam, mu)[0] - 1)
     return terms
 
 
@@ -308,8 +304,16 @@ def presentation_report_isotropic(flavor: str, n: int) -> Report:
     return Report(ok=not failures, checked=checked, failures=failures)
 
 
+def _unordered(product):
+    """``product`` with its pair in one order, so that both orders of a
+    pair share one memo entry."""
+    def ordered(space: Space, lam: Partition, mu: Partition):
+        return product(space, lam, mu) if lam >= mu else product(space, mu, lam)
+    return ordered
+
+
 for _kind, _pieri, _giambelli, _product in ((LG, _pieri_lg, _giambelli_lg, _product_lg),
                                             (OG, _pieri_og, _giambelli_og, _product_og)):
     ring.PIERI[_kind] = _pieri
     ring.GIAMBELLI[_kind] = _giambelli
-    ring.PRODUCT[_kind] = _product
+    ring.PRODUCT[_kind] = _unordered(_product)

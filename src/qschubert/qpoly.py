@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .combinat import (Partition, _component_count, _skew_cells,
-                       horizontal_strip_additions, is_strict, partition)
+from .combinat import (Partition, _components, horizontal_strip_additions, is_strict,
+                       partition)
 from .ring import ContractViolation
 
 
@@ -339,5 +339,5 @@ def qtilde_pieri(lam, p: int, n: int) -> dict[Partition, int]:
 
 
 def _pieri(lam: Partition, p: int, n: int) -> dict[Partition, int]:
-    return {mu: 1 << _component_count(_skew_cells(lam, mu))[1]
+    return {mu: 1 << _components(lam, mu)[1]
             for mu in horizontal_strip_additions(lam, p, max_part=n)}

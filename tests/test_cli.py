@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -151,6 +152,22 @@ def test_unreadable_cache_records_are_misses(tmp_path):
         # the recomputed result is appended and then served
         assert json.loads(cache.read_text().splitlines()[-1])["key"] == key
         assert run(*args) == expected
+
+
+def test_a_hex_keyed_record_is_a_miss(tmp_path):
+    # a record is keyed by its query itself; one keyed by the SHA-256 of the
+    # query, as the cache once wrote them, is never read
+    cache = tmp_path / "cache.jsonl"
+    args = ("qprod", "--space", "A", "--m", "2", "--n", "2",
+            "--lambda", "1", "--mu", "1", "--cache", str(cache))
+    expected = run(*args)
+    query = json.loads(cache.read_text())["key"]
+    assert query == {"cmd": "qprod", "space": "A", "m": 2, "n": 2, "lambda": [1], "mu": [1]}
+    payload = json.dumps({"query": query, "version": cli.ENGINE_VERSION}, sort_keys=True)
+    old = {"key": hashlib.sha256(payload.encode()).hexdigest(),
+           "version": cli.ENGINE_VERSION, "result": [[[2, 2], 0, 99]]}
+    cache.write_text(json.dumps(old) + "\n")
+    assert run(*args) == expected
 
 
 def test_verify_with_no_checks_fails():

@@ -105,33 +105,61 @@ def test_skew_component_stats_examples():
         C.skew_component_stats((2,), (1,))
 
 
-def _rotated_components(cells):
-    # independent component count on the 180-degree rotated cell set
-    if not cells:
-        return 0
-    mi = max(i for i, _ in cells)
-    mj = max(j for _, j in cells)
-    todo = {(mi - i, mj - j) for i, j in cells}
-    comps = 0
+def _cells(lam, mu):
+    padded = lam + (0,) * (len(mu) - len(lam))
+    return {(i + 1, j + 1) for i in range(len(mu)) for j in range(padded[i], mu[i])}
+
+
+_AROUND = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+
+
+def _flood_fill(cells):
+    # the reference count: components under edge-or-vertex adjacency, and
+    # how many of them avoid column 1
+    todo = set(cells)
+    comps = off_first = 0
     while todo:
         comps += 1
         stack = [todo.pop()]
+        meets_first = False
         while stack:
             i, j = stack.pop()
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if (i + di, j + dj) in todo:
-                        todo.remove((i + di, j + dj))
-                        stack.append((i + di, j + dj))
-    return comps
+            meets_first |= j == 1
+            for di, dj in _AROUND:
+                cell = (i + di, j + dj)
+                if cell in todo:
+                    todo.remove(cell)
+                    stack.append(cell)
+        off_first += not meets_first
+    return comps, off_first
 
 
 def test_skew_components_rotation_symmetric():
     shapes = [((1,), (3, 2)), ((2, 1), (4, 3, 1)), ((3, 1), (4, 4, 2, 1)),
               ((), (2, 2)), ((2, 2), (4, 2, 2, 2))]
     for lam, mu in shapes:
-        comps, _ = C.skew_component_stats(lam, mu)
-        assert comps == _rotated_components(C.skew_cells(lam, mu))
+        cells = _cells(lam, mu)
+        rotated = {(len(mu) + 1 - i, mu[0] + 1 - j) for i, j in cells}
+        assert C.skew_component_stats(lam, mu)[0] == _flood_fill(rotated)[0]
+
+
+def test_skew_components_equal_the_flood_fill_in_the_box():
+    box = C.partitions_in_box(5, 5)
+    pairs = [(lam, mu) for lam in box for mu in box if C.contains(lam, mu)]
+    assert len(pairs) == 19404
+    for lam, mu in pairs:
+        assert C.skew_component_stats(lam, mu) == _flood_fill(_cells(lam, mu)), (lam, mu)
+
+
+def test_skew_components_equal_the_flood_fill_on_strict_strips():
+    # the strips the LG and OG Pieri rules add and remove, with parts <= 8
+    strips = [(lam, mu) for lam in C.strict_partitions_max(8) for p in range(1, 9)
+              for mu in C.horizontal_strip_additions(lam, p, max_part=8)]
+    strips += [(nu, lam) for lam in C.strict_partitions_max(8) for p in range(1, 9)
+               for nu in C.horizontal_strip_removals(lam, p)]
+    assert len(strips) == 37536
+    for lam, mu in strips:
+        assert C.skew_component_stats(lam, mu) == _flood_fill(_cells(lam, mu)), (lam, mu)
 
 
 def test_hat_map_examples():

@@ -221,3 +221,13 @@ def test_a_wrong_pair_coefficient_fails_the_cross_check(monkeypatch, pair):
                             product(lam, mu, n, cross_check=True)
     finally:
         ring.clear_caches()
+
+
+@pytest.mark.parametrize("kind", [I.LG, I.OG])
+def test_both_orders_of_a_pair_share_one_memo_entry(kind):
+    product = I.quantum_product_lg if kind == I.LG else I.quantum_product_og
+    memo = I._product_lg if kind == I.LG else I._product_og
+    ring.clear_caches()
+    assert product((2, 1), (3,), 3) == product((3,), (2, 1), 3)
+    assert memo.cache_info().currsize == 1
+    ring.clear_caches()

@@ -75,6 +75,16 @@ def test_qprod_without_cache_loads_only_its_space(space, argv, needed):
     assert {"qschubert.cli", "qschubert.ring", "qschubert.combinat"} <= loaded
 
 
+def test_cached_qprod_loads_no_hashlib(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    call = ["qprod", "--space", "LG", "--n", "3", "--lambda", "2,1", "--mu", "2",
+            "--cache", str(cache)]
+    for _ in ("miss", "hit"):
+        loaded = _loaded_after(f"from qschubert import cli\nassert cli.run({call!r})[0] == 0")
+        assert "hashlib" not in loaded
+    assert len(cache.read_text().splitlines()) == 1  # the second call was a hit
+
+
 def test_star_import_binds_every_public_name():
     code = ("import qschubert\n"
             "assert set(qschubert.__all__) <= set(dir(qschubert))\n"
