@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
+
 Partition = tuple[int, ...]
 
 ALPHABET_01 = "01"
@@ -278,28 +280,14 @@ def _components(lam: Partition, mu: Partition) -> tuple[int, int]:
 
 def partitions_in_box(m: int, n: int):
     """All partitions fitting in an m x n rectangle, by nondecreasing weight."""
-    out = [()]
-    def rec(prefix, row_bound):
-        for first in range(1, row_bound + 1):
-            cand = prefix + (first,)
-            if len(cand) <= m:
-                out.append(cand)
-                rec(cand, first)
-    rec((), n)
-    out.sort(key=lambda p: (sum(p), p))
-    return out
+    return sorted((trim(p[::-1]) for p in combinations_with_replacement(range(n + 1), m)),
+                  key=lambda p: (sum(p), p))
 
 
 def strict_partitions_max(n: int) -> list[Partition]:
     """All strict partitions with parts at most n (including the empty one)."""
-    out = []
-    def rec(prefix, bound):
-        out.append(prefix)
-        for first in range(bound, 0, -1):
-            rec(prefix + (first,), first - 1)
-    rec((), n)
-    out.sort(key=lambda p: (sum(p), p))
-    return out
+    return sorted((p[::-1] for k in range(n + 1) for p in combinations(range(1, n + 1), k)),
+                  key=lambda p: (sum(p), p))
 
 
 def partitions_with_parts_at_most(w: int, maxpart: int) -> list[Partition]:

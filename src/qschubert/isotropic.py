@@ -285,6 +285,8 @@ def presentation_report_isotropic(flavor: str, n: int) -> Report:
     non-strict index (i, i) vanishes, for i <= n on LG and i < n on OG.
     """
     space = Space.of(flavor, None, n)
+    if not n:
+        raise ValueError(f"{space.label} is a point; there is no presentation to check")
     failures = []
     squares = range(1, n + 1) if flavor == LG else range(1, n)
     for i in squares:

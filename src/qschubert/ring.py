@@ -107,9 +107,12 @@ class Space(NamedTuple):
 
     @classmethod
     def of(cls, kind: str, m: int | None, n: int) -> Space:
-        """Check caller-supplied sizes: m only for kind A, none negative."""
+        """Check caller-supplied sizes: m only for kind A, each an int (not a
+        bool), none negative."""
         if kind not in (A, LG, OG) or (m is None) != (kind != A):
             raise ValueError(f"unknown flavor {kind!r} with m={m}")
+        if type(n) is not int or (m is not None and type(m) is not int):
+            raise ValueError(f"sizes must be ints: m={m!r}, n={n!r}")
         if n < 0 or (m is not None and m < 0):
             raise ValueError(f"negative size: m={m}, n={n}")
         return cls(kind, m, n)

@@ -295,6 +295,8 @@ def product_second_folded(lam, mu, m: int, n: int) -> QHElement:
 
 def multiply_element_by_class(elem: QHElement, kappa, m: int, n: int) -> QHElement:
     space = Space.of(A, m, n)
+    if elem.space != space:
+        raise ValueError(f"{elem!r} is not an element of {space.label}")
     kappa = space.check(kappa)
     terms = {(d, nu): c for (nu, d), c in elem.coeffs.items()}
     return space.element(ring.combine(terms, lambda nu: giambelli_fold(space, nu, kappa)))

@@ -4,13 +4,16 @@ Each suite runs one family of cross-checks between independent routes of
 the engine (ring presentations, puzzle counting versus Pieri folding,
 the orthogonal/Lagrangian duality, line numbers, properties of the
 Pfaffian-polynomial basis, and symmetry of the invariants) over an
-exhaustive grid bounded by the given size limits.
+exhaustive grid bounded by the given size limits.  Graded triples, on
+G(m, N), LG or OG, come from one walk (:func:`_graded`), and every S3
+check is :func:`_check_s3`; the duality suite and the 1-step puzzle
+block keep their whole grids, because their zeros are checks too.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations, groupby, product
+from itertools import combinations, permutations, product
 
 from . import isotropic, puzzle, qpoly, ring, typea
 from .combinat import (Partition, partitions_in_box, partitions_with_parts_at_most,
@@ -47,17 +50,30 @@ def suite_presentations(max_N: int = 8, max_n: int = 4) -> Report:
     return report
 
 
-def _graded_triples(classes: list, m: int, n: int):
-    """Every (d, lam, mu, nu) of classes on G(m, m+n) with
-    |lam| + |mu| + |nu| = mn + d(m+n), for 0 <= d <= min(m, n)."""
+def _graded(space: Space, classes: list, degrees):
+    """Every (d, lam, mu, nus) over the degrees and ordered pairs of classes,
+    where nus, never empty, holds the classes nu of the weight that
+    :meth:`Space.in_degree` asks for, dim + d * q_degree - |lam| - |mu|."""
     by_weight: dict[int, list] = {}
-    for lam in classes:
-        by_weight.setdefault(sum(lam), []).append(lam)
-    for d in range(0, min(m, n) + 1):
-        for lam in classes:
-            for mu in classes:
-                for nu in by_weight.get(m * n + d * (m + n) - sum(lam) - sum(mu), ()):
-                    yield d, lam, mu, nu
+    for nu in classes:
+        by_weight.setdefault(sum(nu), []).append(nu)
+    for d in degrees:
+        for lam, mu in product(classes, repeat=2):
+            nus = by_weight.get(space.dim + d * space.q_degree - sum(lam) - sum(mu))
+            if nus:
+                yield d, lam, mu, nus
+
+
+def _check_s3(report: Report, space: Space, graded):
+    """One check per graded triple: its invariant is unchanged by the five
+    other orders of its classes, tried up to the first mismatch."""
+    for d, lam, mu, nus in graded:
+        for nu in nus:
+            orders = permutations((lam, mu, nu))  # the identity first
+            base = ring.gw(space, *next(orders), d)
+            report.checked += 1
+            if any(ring.gw(space, *triple, d) != base for triple in orders):
+                _note(report, f"S3 fails on {space.label} d={d} {lam},{mu},{nu}")
 
 
 def _compare_puzzles(report: Report, space: Space, kind: str, d: int, words: dict,
@@ -103,10 +119,9 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
                                      classes, products(lam, mu))
             jd = [{lam: word_jd(lam, m, n, d) for lam in classes} for d in range(min(m, n) + 1)]
             jd_keys = [{lam: puzzle.pack(w) for lam, w in words.items()} for words in jd]
-            for (d, lam, mu), run in groupby(_graded_triples(classes, m, n),
-                                             key=lambda t: t[:3]):
+            for d, lam, mu, nus in _graded(space, classes, range(min(m, n) + 1)):
                 _compare_puzzles(report, space, "2step", d, jd[d], jd_keys[d], duals, lam, mu,
-                                 [t[3] for t in run], products(lam, mu))
+                                 nus, products(lam, mu))
     return report
 
 
@@ -132,12 +147,9 @@ def suite_line_numbers(max_n: int = 3) -> Report:
     report = Report(ok=True)
     for n in range(1, max_n + 1):
         space = Space(LG, None, n)
-        classes = strict_partitions_max(n)
-        for lam in classes:
-            for mu in classes:
-                for nu in classes:
-                    if space.in_degree(1, lam, mu, nu):
-                        _absorb(report, isotropic.line_number(space, lam, mu, nu))
+        for _, lam, mu, nus in _graded(space, strict_partitions_max(n), (1,)):
+            for nu in nus:
+                _absorb(report, isotropic.line_number(space, lam, mu, nu))
     return report
 
 
@@ -267,33 +279,18 @@ def suite_symmetry(max_N: int = 7, max_n: int = 4) -> Report:
                     report.checked += 2
                     folded = ring.giambelli_fold(space, lam, mu)
                     if folded != ring.giambelli_fold(space, mu, lam):
-                        _note(report, f"commutativity fails for {lam},{mu} on G({m},{N})")
+                        _note(report, f"commutativity fails for {lam},{mu} on {space.label}")
                     (lam1, d1), (mu1, d2) = rotated[lam], unrotated[mu]
                     if _shift(folded, d2) != _shift(ring.giambelli_fold(space, lam1, mu1), d1):
-                        _note(report, f"rotation fails for {lam},{mu} on G({m},{N})")
-            for d, lam, mu, nu in _graded_triples(classes, m, n):
-                base = ring.gw(space, lam, mu, nu, d)
-                report.checked += 1
-                for triple in ((mu, nu, lam), (nu, lam, mu),
-                               (mu, lam, nu), (lam, nu, mu), (nu, mu, lam)):
-                    if ring.gw(space, *triple, d) != base:
-                        _note(report, f"S3 fails on G({m},{N}) d={d} {lam},{mu},{nu}")
-                        break
+                        _note(report, f"rotation fails for {lam},{mu} on {space.label}")
+            _check_s3(report, space, _graded(space, classes, range(min(m, n) + 1)))
     for n in range(1, max_n + 1):
         classes = strict_partitions_max(n)
-        spaces = (Space(LG, None, n), Space(OG, None, n))
-        for lam in classes:
-            for mu in classes:
-                for nu in classes:
-                    total = sum(lam) + sum(mu) + sum(nu)
-                    for space in spaces:
-                        d, rem = divmod(total - space.dim, space.q_degree)
-                        if rem == 0 and d >= 0:
-                            base = ring.gw(space, lam, mu, nu, d)
-                            report.checked += 1
-                            if any(ring.gw(space, *t, d) != base for t in
-                                   ((mu, nu, lam), (nu, lam, mu), (mu, lam, nu))):
-                                _note(report, f"{space.kind} S3 fails at {lam},{mu},{nu}, n={n}")
+        for kind in (LG, OG):
+            space = Space(kind, None, n)
+            # three classes weigh at most 3 * dim, so no graded triple is missed
+            _check_s3(report, space,
+                      _graded(space, classes, range(2 * space.dim // space.q_degree + 1)))
     return report
 
 

@@ -141,6 +141,19 @@ def test_entry_points_reject_bad_partitions(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: qschubert.quantum_product_a((1,), (1,), 2.0, 2),
+    lambda: qschubert.quantum_product_lg((1,), (1,), 2.0),
+    lambda: qschubert.quantum_pieri_a((1,), 1, 2, 2.0),
+    lambda: qschubert.QHElement(2.0, 2, {((1,), 0): 1}),
+    lambda: qschubert.quantum_product_og((1,), (1,), True),
+], ids=["quantum_product_a", "quantum_product_lg", "quantum_pieri_a", "QHElement",
+        "quantum_product_og-bool"])
+def test_entry_points_reject_sizes_that_are_not_ints(call):
+    with pytest.raises(ValueError, match="ints"):
+        call()
+
+
 def test_benchmark_selftest_passes():
     # the benchmark wraps engine functions by name; unbinding one fails here
     selftest = Path(__file__).resolve().parents[1] / "bench" / "selftest.py"

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -246,3 +248,20 @@ def test_strip_helpers_against_brute_force():
             assert len(removed) == len(set(removed))
             assert set(removed) == {nu for nu in box if sum(nu) == sum(lam) - p
                                     and _is_horizontal_strip(nu, lam)}
+
+
+def _by_weight(parts):
+    return sorted(parts, key=lambda p: (sum(p), p))
+
+
+def test_class_lists_equal_a_brute_force_filter():
+    for m in range(6):
+        for n in range(6):
+            box = {C.trim(p) for p in product(range(n + 1), repeat=m)
+                   if all(a >= b for a, b in zip(p, p[1:]))}
+            assert C.partitions_in_box(m, n) == _by_weight(box)
+    for n in range(8):
+        # a strict partition with parts at most n is the set of its parts
+        strict = [tuple(k for k, part in zip(range(n, 0, -1), bits) if part)
+                  for bits in product((False, True), repeat=n)]
+        assert C.strict_partitions_max(n) == _by_weight(strict)

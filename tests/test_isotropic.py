@@ -132,6 +132,13 @@ def test_presentation_reports():
         I.presentation_report_isotropic("SP", 2)
 
 
+@pytest.mark.parametrize("flavor", [I.LG, I.OG])
+def test_the_presentation_of_a_point_is_refused(flavor):
+    # LG(0,0) and OG(1,2) are points
+    with pytest.raises(ValueError, match="point"):
+        I.presentation_report_isotropic(flavor, 0)
+
+
 def test_products_emit_strict_graded_keys():
     assert I.Space(I.LG, None, 3).q_degree == 4 and I.Space(I.OG, None, 3).q_degree == 6
     for n in range(1, 4):

@@ -9,7 +9,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschubert import cli, combinat as C, ring, typea as A
+from qschubert import cli, combinat as C, isotropic as I, ring, typea as A
 
 REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "typea_products.json"
 
@@ -157,6 +157,15 @@ def test_presentation_reports():
     for m, n in [(0, 2), (2, 0)]:
         with pytest.raises(ValueError):
             A.presentation_report_a(m, n)
+
+
+def test_multiplying_an_element_of_another_space_is_refused():
+    # s[3] lives on G(2,5), and s[2,1] on LG(2,4) is no type A class
+    for elem in (E(2, 3, {((3,), 0): 1}), I.IsoQHElement(I.LG, 2, {((2, 1), 0): 1})):
+        with pytest.raises(ValueError, match="not an element of G\\(2,4\\)"):
+            A.multiply_element_by_class(elem, (1,), 2, 2)
+    assert A.multiply_element_by_class(E(2, 2, {((1,), 0): 1}), (1,), 2, 2) == \
+        E(2, 2, {((2,), 0): 1, ((1, 1), 0): 1})
 
 
 def test_dims():
