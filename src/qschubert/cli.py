@@ -30,7 +30,7 @@ import sys
 from time import perf_counter
 
 from . import __version__, ring
-from .combinat import partition, word_01, word_jd
+from .combinat import partition, string_degree, word_01, word_jd
 from .ring import A, LG, OG, ContractViolation, Space
 
 ENGINE_VERSION = __version__
@@ -61,16 +61,6 @@ def _result_json(query: dict, coeffs) -> str:
     return json.dumps({"query": query, "result": entries}, sort_keys=True)
 
 
-def _cached_coeffs(entries, space: Space) -> dict:
-    """The coefficients of a cached result, each entry checked as a caller's."""
-    coeffs = {}
-    for nu, d, c in entries:
-        if type(d) is not int or type(c) is not int or d < 0:
-            raise ValueError(f"unreadable cache entry {[nu, d, c]!r}")
-        coeffs[(space.check(nu), d)] = c
-    return coeffs
-
-
 def _cache_lookup(path: str | None, key: dict, space: Space):
     if not path or not os.path.exists(path):
         return None
@@ -82,7 +72,9 @@ def _cache_lookup(path: str | None, key: dict, space: Space):
             try:
                 record = json.loads(line)
                 if record.get("key") == key and record.get("version") == ENGINE_VERSION:
-                    return _cached_coeffs(record["result"], space)
+                    # each term checked as a caller's, by the element constructor
+                    terms = {(tuple(nu), d): c for nu, d, c in record["result"]}
+                    return ring.Element(space, terms).coeffs
             except (AttributeError, KeyError, TypeError, ValueError):
                 continue  # an unreadable record is a miss
     return None
@@ -208,9 +200,7 @@ def _cmd_string(args, space: Space) -> str:
     payload = {"I": i_string, "w": w}
     lines = [f"I={i_string}", "w=" + ",".join(str(x) for x in w)]
     if args.d is not None:
-        if not 0 <= args.d <= min(m, n):
-            raise ValueError(f"d={args.d} out of range for a {m}x{n} rectangle")
-        j = word_jd(lam, m, n, args.d)
+        j = word_jd(lam, m, n, string_degree(args.d, m, n))
         payload[f"J{args.d}"] = j
         lines.append(f"J{args.d}={j}")
     if args.format == "json":
@@ -261,12 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Exact Schubert calculus engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, partitions=("lambda", "mu"), space=True, mn=True):
+    def add_common(p, partitions=("lambda", "mu"), space=True):
         if space:
             p.add_argument("--space", choices=["A", "LG", "OG"], default="A")
-        if mn:
-            p.add_argument("--m", type=int, default=None)
-            p.add_argument("--n", type=int, default=None)
+        p.add_argument("--m", type=int, default=None)
+        p.add_argument("--n", type=int, default=None)
         for name in partitions:
             dest = {"lambda": "lam"}.get(name, name)
             p.add_argument(f"--{name}", dest=dest, required=True)

@@ -22,8 +22,10 @@ ALPHABET_012 = "012"
 
 
 def partition(parts) -> Partition:
-    """Canonicalize an iterable of row lengths into a partition tuple."""
-    p = tuple(int(x) for x in parts)
+    """Canonicalize an iterable of int row lengths (not bools) into a partition tuple."""
+    p = tuple(parts)
+    if any(type(x) is not int for x in p):
+        raise ValueError(f"parts must be ints: {p!r}")
     if any(x < 0 for x in p):
         raise ValueError(f"negative part in {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
@@ -71,11 +73,29 @@ def in_box(lam, m: int, n: int) -> Partition:
     return lam
 
 
-def conjugate(lam: Partition) -> Partition:
+def in_strict(lam, n: int) -> Partition:
+    """Canonicalise a caller's strict partition: int parts (not bools), strictly
+    decreasing, each in 1..n once trailing zeros are stripped."""
+    lam = tuple(lam)
+    if all(type(x) is int for x in lam):
+        lam = trim(lam)
+        if is_strict(lam) and (not lam or 0 < lam[-1] <= lam[0] <= n):
+            return lam
+    raise ValueError(f"{lam} is not a strict partition bounded by {n}")
+
+
+def string_degree(d, m: int, n: int) -> int:
+    """Check a caller's degree of boundary strings on the m x n rectangle:
+    an int (not a bool) with 0 <= d <= min(m, n)."""
+    if type(d) is not int or not 0 <= d <= min(m, n):
+        raise ValueError(f"d={d!r} out of range for a {m}x{n} rectangle")
+    return d
+
+
+def conjugate(lam) -> Partition:
     """Transpose the Young diagram."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for r in lam if r > c) for c in range(lam[0]))
+    lam = partition(lam)
+    return tuple(sum(1 for r in lam if r > c) for c in range(lam[0] if lam else 0))
 
 
 def rect_dual(lam: Partition, m: int, n: int) -> Partition:
@@ -84,36 +104,29 @@ def rect_dual(lam: Partition, m: int, n: int) -> Partition:
     return trim(tuple(n - padded[m - 1 - i] for i in range(m)))
 
 
-def strict_dual(nu: Partition, n: int) -> Partition:
+def strict_dual(nu, n: int) -> Partition:
     """Complement of the parts of a strict partition in {1, ..., n}."""
-    nu = partition(nu)
-    if not is_strict(nu):
-        raise ValueError(f"{nu} is not strict")
-    if nu and nu[0] > n:
-        raise ValueError(f"largest part of {nu} exceeds {n}")
-    missing = set(range(1, n + 1)) - set(nu)
+    missing = set(range(1, n + 1)) - set(in_strict(nu, n))
     return tuple(sorted(missing, reverse=True))
 
 
-def remove_columns(lam: Partition, d: int) -> Partition:
+def remove_columns(lam, d: int) -> Partition:
     """Remove the leftmost ``d`` columns: each part drops by d, floored at 0."""
-    return partition(max(x - d, 0) for x in lam)
+    if type(d) is not int or d < 0:
+        raise ValueError(f"cannot remove d={d!r} columns")
+    return trim(tuple(max(x - d, 0) for x in partition(lam)))
 
 
-def hat_map(lam: Partition, n: int) -> Partition:
+def hat_map(lam, n: int) -> Partition:
     """Send a nonzero strict partition bounded by n to (n - last, ..., n - first).
 
     The image lies in the strict partitions bounded by n - 1; a zero part
     (arising when the first part equals n) is dropped.
     """
-    lam = partition(lam)
+    lam = in_strict(lam, n)
     if not lam:
         raise ValueError("hat_map requires a nonzero partition")
-    if not is_strict(lam):
-        raise ValueError(f"{lam} is not strict")
-    if lam[0] > n:
-        raise ValueError(f"largest part of {lam} exceeds {n}")
-    return partition(n - x for x in reversed(lam))
+    return trim(tuple(n - x for x in reversed(lam)))
 
 
 class LabelString:
@@ -195,10 +208,7 @@ def from_01_string(s, m: int | None = None) -> tuple[Partition, int, int]:
 
 def grassmann_permutation(lam: Partition, m: int, n: int) -> tuple[int, ...]:
     """The minimal coset representative whose 0/1 positions encode ``lam``."""
-    s = to_01_string(lam, m, n).symbols
-    zeros = [i + 1 for i, c in enumerate(s) if c == "0"]
-    ones = [i + 1 for i, c in enumerate(s) if c == "1"]
-    return tuple(zeros + ones)
+    return string012_to_permutation(to_01_string(lam, m, n), m, m + n)
 
 
 def jd_string(lam: Partition, m: int, n: int, d: int) -> LabelString:
@@ -207,8 +217,7 @@ def jd_string(lam: Partition, m: int, n: int, d: int) -> LabelString:
     Double every label of the 01-string, then turn the first d '2's and
     the last d '0's into '1's.  The result has m-d zeros and 2d ones.
     """
-    if d < 0 or d > min(m, n):
-        raise ValueError(f"d={d} out of range for a {m}x{n} rectangle")
+    d = string_degree(d, m, n)
     return LabelString(word_jd(in_box(lam, m, n), m, n, d), ALPHABET_012)
 
 

@@ -161,12 +161,10 @@ def _add_product(total: dict[int, int], f: EPoly, g: EPoly, c: int):
 
 @lru_cache(maxsize=None)
 def _pair_epoly(i: int, j: int, n: int) -> EPoly:
-    """The two-subscript Pfaffian polynomial, valid for i >= j >= 0."""
+    """The two-subscript Pfaffian polynomial, for n >= i >= j >= 0 and i >= 1."""
     if j == 0:
-        return EPoly.one(n) if i == 0 else _qtilde((i,), n)
-    if i > n:
-        return EPoly.zero(n)
-    terms = {_key((i, j), n): 1} if j <= n else {}
+        return _qtilde((i,), n)
+    terms = {_key((i, j), n): 1}
     for k in range(1, n - i + 1):
         lo = j - k
         if lo < 0:

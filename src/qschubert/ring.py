@@ -13,8 +13,12 @@ the e-basis constants for LG and OG, and for G(m, N) the Jacobi-Trudi
 determinant expanded row by row (memoised in ``typea``), after turning
 the pair in its s[n] rotation orbit to the one that is cheapest to expand.
 
-A caller's partition is checked once, by the public function called
-(:meth:`Space.check`, the element constructors).  Engine code calls only
+A caller's input is checked once, by the public function called, and
+each kind of input by one function: a class by :meth:`Space.check`
+(``combinat.in_box`` on G(m, N), ``combinat.in_strict`` on LG and OG), a
+term (nu, d, c) of an element by :class:`Element`'s constructor, the one
+reader of the command line's cached results too, and a degree of boundary
+strings by ``combinat.string_degree``.  Engine code calls only
 trusted forms on what it built or checked, such as :func:`gw` and each
 space's production product in ``PRODUCT``, and only drops zero
 coefficients.  :meth:`Space.in_degree` is every route's degree rule.
@@ -30,7 +34,7 @@ from functools import lru_cache
 from importlib import import_module
 from typing import Callable, NamedTuple
 
-from .combinat import Partition, in_box, is_strict, partition, trim
+from .combinat import Partition, in_box, in_strict, partition, trim
 
 A = "A"
 LG = "LG"
@@ -119,12 +123,7 @@ class Space(NamedTuple):
 
     def check(self, lam) -> Partition:
         """Canonicalise a partition from a caller and check that it indexes a class."""
-        if self.kind == A:
-            return in_box(lam, self.m, self.n)
-        lam = partition(lam)
-        if not is_strict(lam) or (lam and lam[0] > self.n):
-            raise ValueError(f"{lam} is not a strict partition bounded by {self.n}")
-        return lam
+        return in_box(lam, self.m, self.n) if self.kind == A else in_strict(lam, self.n)
 
     @property
     def q_degree(self) -> int:
@@ -184,11 +183,10 @@ class Element:
         self.space = space
         clean: dict[tuple[Partition, int], int] = {}
         for (nu, d), c in (coeffs or {}).items():
-            if c == 0:
-                continue
+            if type(d) is not int or type(c) is not int or d < 0:
+                raise ValueError(f"q exponent d >= 0 and coefficient c must be ints: "
+                                 f"d={d!r}, c={c!r}")
             nu = space.check(nu)
-            if d < 0:
-                raise ValueError("negative q exponent")
             clean[(nu, d)] = clean.get((nu, d), 0) + c
         self.coeffs = {k: c for k, c in clean.items() if c != 0}
 

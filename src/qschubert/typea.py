@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from . import ring
 from .combinat import (Partition, horizontal_strip_additions,
-                       horizontal_strip_removals, trim, word_jd)
+                       horizontal_strip_removals, string_degree, trim, word_jd)
 from .combinat import partition  # noqa: F401  (the benchmark self-test reads it)
 from .ring import A, QHElement, Report, Space, giambelli_fold
 
@@ -328,12 +328,12 @@ def puzzle_invariant(space: Space, lam: Partition, mu: Partition, nu: Partition,
 
 def dims(m: int, n: int, d: int) -> tuple[int, int]:
     """(dimension of the degree-d kernel-span flag variety, dimension of X)."""
-    if d < 0 or d > min(m, n):
-        raise ValueError(f"d={d} out of range for G({m},{m + n})")
-    big = m * n + d * (m + n) - 3 * d * d
+    space = Space.of(A, m, n)
+    d = string_degree(d, m, n)
+    big = space.dim + d * space.q_degree - 3 * d * d
     a, b, nn = m - d, m + d, m + n
     assert big == (nn - b) * b + (b - a) * a
-    return big, m * n
+    return big, space.dim
 
 
 def presentation_report_a(m: int, n: int) -> Report:

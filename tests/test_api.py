@@ -124,6 +124,8 @@ ENTRY_POINTS = [
     ("EPoly.monomial", lambda lam: EPoly.monomial(2, lam), (3, 1)),
     ("qtilde_epoly", lambda lam: qschubert.qtilde_epoly(lam, 2), None),
     ("qtilde_structure", lambda lam: qschubert.qtilde_structure((1,), lam, 2), (3,)),
+    ("conjugate", qschubert.conjugate, None),
+    ("remove_columns", lambda lam: qschubert.remove_columns(lam, 1), None),
 ]
 
 
@@ -131,6 +133,7 @@ def _cases():
     for name, call, out_of_range in ENTRY_POINTS:
         yield pytest.param(call, (1, 2), id=f"{name}-increasing")
         yield pytest.param(call, (2, -1), id=f"{name}-negative")
+        yield pytest.param(call, (1.5,), id=f"{name}-not-int")
         if out_of_range is not None:
             yield pytest.param(call, out_of_range, id=f"{name}-out-of-range")
 
@@ -152,6 +155,20 @@ def test_entry_points_reject_bad_partitions(call, bad):
 def test_entry_points_reject_sizes_that_are_not_ints(call):
     with pytest.raises(ValueError, match="ints"):
         call()
+
+
+@pytest.mark.parametrize("make", [
+    lambda coeffs: qschubert.QHElement(2, 2, coeffs),
+    lambda coeffs: qschubert.IsoQHElement("LG", 2, coeffs),
+], ids=["QHElement", "IsoQHElement"])
+@pytest.mark.parametrize("term", [
+    (((1,), 0.5), 1), (((1,), True), 1), (((1,), "a"), 1),
+    (((1,), 0), 1.5), (((1,), 0), True), (((1,), 0.5), 0),
+], ids=["d-float", "d-bool", "d-str", "c-float", "c-bool", "d-float-c-zero"])
+def test_element_terms_must_be_ints(make, term):
+    with pytest.raises(ValueError, match="must be ints"):
+        make(dict([term]))
+    assert make({((1,), 0): 1, ((2,), 1): 0}).coeffs == {((1,), 0): 1}
 
 
 def test_benchmark_selftest_passes():

@@ -154,6 +154,21 @@ def test_unreadable_cache_records_are_misses(tmp_path):
         assert run(*args) == expected
 
 
+def test_cached_terms_are_checked_as_element_terms(tmp_path):
+    # a float coefficient, a bool degree or a negative degree is no term
+    cache = tmp_path / "cache.jsonl"
+    args = ("qprod", "--space", "A", "--m", "2", "--n", "2",
+            "--lambda", "1", "--mu", "1", "--format", "json", "--cache", str(cache))
+    expected = run(*args)
+    key = json.loads(cache.read_text())["key"]
+    for result in ([[[2], 0, 1.0]], [[[1, 1], True, 1]], [[[2], -1, 1]]):
+        record = {"key": key, "version": cli.ENGINE_VERSION, "result": result}
+        cache.write_text(json.dumps(record) + "\n")
+        assert run(*args) == expected
+        # the miss recomputed the product and appended it
+        assert len(cache.read_text().splitlines()) == 2
+
+
 def test_a_hex_keyed_record_is_a_miss(tmp_path):
     # a record is keyed by its query itself; one keyed by the SHA-256 of the
     # query, as the cache once wrote them, is never read

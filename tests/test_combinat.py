@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from qschubert import combinat as C
+from qschubert import combinat as C, ring, typea
 
 
 partitions = st.lists(st.integers(min_value=1, max_value=7), max_size=6).map(
@@ -54,6 +54,31 @@ def test_remove_columns():
     assert C.remove_columns((3, 2, 1), 1) == (2, 1)
     assert C.remove_columns((3, 2, 1), 3) == ()
     assert C.remove_columns((4, 4, 3, 1), 2) == (2, 2, 1)
+
+
+def test_remove_columns_refuses_a_negative_count():
+    with pytest.raises(ValueError):
+        C.remove_columns((2, 1), -1)
+    assert C.remove_columns((2, 1), 0) == (2, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: C.strict_dual((1, 2), 3),
+    lambda: C.hat_map((2, 2), 3),
+    lambda: ring.Space.of(ring.LG, None, 2).check((3,)),
+    lambda: ring.Space.of(ring.OG, None, 3).check((2, 2)),
+], ids=["strict_dual", "hat_map", "LG-check", "OG-check"])
+def test_strict_classes_have_one_check(call):
+    with pytest.raises(ValueError, match="is not a strict partition bounded by"):
+        call()
+
+
+def test_string_degrees_must_be_ints():
+    for call in (lambda d: C.jd_string((1,), 2, 2, d), lambda d: typea.dims(2, 2, d)):
+        for d in (True, 1.0, -1, 3):
+            with pytest.raises(ValueError, match="out of range for a 2x2 rectangle"):
+                call(d)
+    assert C.jd_string((1,), 2, 2, 1).symbols == "0112"
 
 
 def test_01_string_examples():

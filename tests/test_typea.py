@@ -176,6 +176,14 @@ def test_dims():
         A.dims(2, 2, 3)
 
 
+def test_dims_checks_its_sizes_as_a_space():
+    with pytest.raises(ValueError, match="ints"):
+        A.dims(2.0, 2, 0)
+    with pytest.raises(ValueError, match="negative size"):
+        A.dims(-1, 2, 0)
+    assert A.dims(0, 3, 0) == (0, 0)
+
+
 def test_product_grading_and_duality_small():
     for m, n in [(2, 2), (2, 3), (3, 3)]:
         N = m + n
