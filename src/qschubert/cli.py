@@ -126,11 +126,7 @@ def _gw_by_puzzle(space: Space, lam, mu, nu, d: int) -> int:
 def _gw_by_duality(space: Space, lam, mu, nu, d: int) -> int:
     from . import isotropic
 
-    lg = Space.of(LG, None, space.n - 1)
-    mu, nu = lg.check(mu), lg.check(nu)
-    if not lam:
-        raise ValueError("lam must be nonzero")
-    report = isotropic.duality(space, lam, mu, nu, d)
+    report = isotropic.duality_check(lam, mu, nu, d, space.n)
     if not report.ok:
         raise ContractViolation("; ".join(report.failures))
     return report.data["og"]
@@ -172,7 +168,7 @@ def _cmd_lr(args, space: Space) -> str:
         strings = [word_01(x, space.m, space.n) for x in (lam, mu, space.dual(nu))]
         value = puzzle.count(*strings, "1step")
     else:
-        value = ring.PRODUCT[A](space, lam, mu).get((nu, 0), 0)
+        value = ring.gw(space, lam, mu, space.dual(nu), 0)
     if args.format == "json":
         query = {"cmd": "lr", "m": args.m, "n": args.n, "lambda": list(lam),
                  "mu": list(mu), "nu": list(nu)}

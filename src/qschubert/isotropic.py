@@ -16,8 +16,8 @@ factor through the quantum Pieri rule recomputes them, and the two routes
 are required to agree.  This module holds what is particular to LG and
 OG: the two quantum Pieri rules, the two-row Giambelli formulas, both
 readings of the e-basis, duality, line numbers and presentations.  The
-element class, the fold, the Giambelli-fold product and the invariant are
-shared with G(m, N) in :mod:`qschubert.ring`.
+element class, the fold and the checked products and invariant, which
+each public function here calls, are in :mod:`qschubert.ring`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ from functools import lru_cache
 from . import qpoly, ring
 from .combinat import (Partition, _components, horizontal_strip_additions,
                        horizontal_strip_removals, is_strict, trim)
-from .ring import LG, OG, ContractViolation, IsoQHElement, Report, Space, giambelli_fold
+from .ring import LG, OG, ContractViolation, Element, Report, Space
+
+
+def IsoQHElement(flavor: str, n: int, coeffs=None) -> Element:
+    """Integer combination of q^d times Schubert classes on LG or OG."""
+    return Element(Space.of(flavor, None, n), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +64,7 @@ def _pieri_og(space: Space, lam: Partition, p: int):
     return terms
 
 
-def quantum_pieri_lg(lam, p: int, n: int) -> IsoQHElement:
+def quantum_pieri_lg(lam, p: int, n: int) -> Element:
     """Quantum product with the special class s[p] on LG(n, 2n).
 
     Classical terms add p boxes (no two per column, result strict) with
@@ -69,7 +74,7 @@ def quantum_pieri_lg(lam, p: int, n: int) -> IsoQHElement:
     return ring.quantum_pieri(Space.of(LG, None, n), lam, p)
 
 
-def quantum_pieri_og(lam, p: int, n: int) -> IsoQHElement:
+def quantum_pieri_og(lam, p: int, n: int) -> Element:
     """Quantum product with the special class t[p] on OG(n+1, 2n+2).
 
     Both sums add p boxes, no two per column, with multiplicity
@@ -128,12 +133,12 @@ def _giambelli_og(space: Space, lam: Partition):
     return {(0, factors): c for factors, c in coeffs.items()}
 
 
-def quantum_product_lg_pfaffian(lam, mu, n: int) -> IsoQHElement:
+def quantum_product_lg_pfaffian(lam, mu, n: int) -> Element:
     """LG product by folding the Pfaffian Giambelli of ``mu`` into ``lam``."""
     return ring.folded_product(Space.of(LG, None, n), lam, mu)
 
 
-def quantum_product_og_pfaffian(lam, mu, n: int) -> IsoQHElement:
+def quantum_product_og_pfaffian(lam, mu, n: int) -> Element:
     """OG product by folding the Pfaffian Giambelli of ``mu`` into ``lam``."""
     return ring.folded_product(Space.of(OG, None, n), lam, mu)
 
@@ -163,44 +168,29 @@ def _product_og(space: Space, lam: Partition, mu: Partition):
     return out
 
 
-def _quantum_product(space: Space, lam, mu, cross_check: bool) -> IsoQHElement:
-    lam = space.check(lam)
-    mu = space.check(mu)
-    result = space.element(ring.PRODUCT[space.kind](space, lam, mu))
-    if cross_check:
-        other = space.element(giambelli_fold(space, lam, mu))
-        if result != other:
-            raise ContractViolation(
-                f"{space.kind} product routes disagree for {lam} * {mu} at n={space.n}: "
-                f"{result.text()} vs {other.text()}")
-    return result
-
-
-def quantum_product_lg(lam, mu, n: int, cross_check: bool = False) -> IsoQHElement:
+def quantum_product_lg(lam, mu, n: int, cross_check: bool = False) -> Element:
     """Quantum product on LG(n, 2n) via Pfaffian-polynomial constants.
 
     With ``cross_check`` the product is recomputed by folding the quantum
     Giambelli expansion of ``mu`` through the Pieri rule; disagreement
     raises :class:`ContractViolation`.
     """
-    return _quantum_product(Space.of(LG, None, n), lam, mu, cross_check)
+    return ring.product(Space.of(LG, None, n), lam, mu, cross_check)
 
 
-def quantum_product_og(lam, mu, n: int, cross_check: bool = False) -> IsoQHElement:
+def quantum_product_og(lam, mu, n: int, cross_check: bool = False) -> Element:
     """Quantum product on OG(n+1, 2n+2) via rescaled structure constants."""
-    return _quantum_product(Space.of(OG, None, n), lam, mu, cross_check)
+    return ring.product(Space.of(OG, None, n), lam, mu, cross_check)
 
 
 def gw_lg(lam, mu, nu, d: int, n: int) -> int:
     """Degree-d three-point invariant on LG(n, 2n)."""
-    space = Space.of(LG, None, n)
-    return ring.gw(space, *(space.check(x) for x in (lam, mu, nu)), d)
+    return ring.invariant(Space.of(LG, None, n), lam, mu, nu, d)
 
 
 def gw_og(lam, mu, nu, d: int, n: int) -> int:
     """Degree-d three-point invariant on OG(n+1, 2n+2)."""
-    space = Space.of(OG, None, n)
-    return ring.gw(space, *(space.check(x) for x in (lam, mu, nu)), d)
+    return ring.invariant(Space.of(OG, None, n), lam, mu, nu, d)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +210,8 @@ def line_number(space: Space, lam: Partition, mu: Partition, nu: Partition) -> R
         raise ValueError("weights do not match the degree-one condition")
     quantum = ring.gw(space, lam, mu, nu, 1)
     n = space.n
-    up = Space(LG, None, n + 1)
-    classical = ring.PRODUCT[up.kind](up, lam, mu).get((up.dual(nu), 0), 0)
+    # a degree-one weight on LG(n) is the dimension of LG(n+1)
+    classical = ring.gw(Space(LG, None, n + 1), lam, mu, nu, 0)
     if classical % 2:
         raise ContractViolation(
             f"classical triple {classical} for {lam},{mu},{nu} is odd")

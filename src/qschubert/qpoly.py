@@ -67,9 +67,13 @@ class EPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, coeffs: dict[Partition, int] | None = None):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"variable count n must be an int >= 0: n={n!r}")
         self.n = n
         terms: dict[int, int] = {}
         for lam, c in (coeffs or {}).items():
+            if type(c) is not int:
+                raise ValueError(f"coefficient of e{lam!r} must be an int: c={c!r}")
             if c:
                 lam = partition(lam)
                 if lam and lam[0] > n:

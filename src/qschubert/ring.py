@@ -13,15 +13,20 @@ the e-basis constants for LG and OG, and for G(m, N) the Jacobi-Trudi
 determinant expanded row by row (memoised in ``typea``), after turning
 the pair in its s[n] rotation orbit to the one that is cheapest to expand.
 
-A caller's input is checked once, by the public function called, and
-each kind of input by one function: a class by :meth:`Space.check`
-(``combinat.in_box`` on G(m, N), ``combinat.in_strict`` on LG and OG), a
-term (nu, d, c) of an element by :class:`Element`'s constructor, the one
-reader of the command line's cached results too, and a degree of boundary
-strings by ``combinat.string_degree``.  Engine code calls only
-trusted forms on what it built or checked, such as :func:`gw` and each
-space's production product in ``PRODUCT``, and only drops zero
-coefficients.  :meth:`Space.in_degree` is every route's degree rule.
+Every element is one :class:`Element`, and each public product and
+invariant of ``typea`` and ``isotropic`` is one call into a checked entry
+here: :func:`product` (with the fold cross-check), :func:`invariant`,
+:func:`quantum_pieri` or :func:`folded_product`.  A caller's input is
+checked once, by the public function called, and each kind of input by
+one function: a class by :meth:`Space.check` (``combinat.in_box`` on
+G(m, N), ``combinat.in_strict`` on LG and OG), a term (nu, d, c) of an
+element by :class:`Element`'s constructor (the one reader of the command
+line's cached results too; :meth:`Element.coefficient` checks d as it
+does), and a degree of boundary strings by ``combinat.string_degree``.
+Engine code calls only trusted forms on what it built or checked, such
+as :func:`gw` and each space's production product in ``PRODUCT``, and
+only drops zero coefficients.  :meth:`Space.in_degree` is every route's
+degree rule.
 
 Memos are unbounded ``functools.lru_cache``s, put only on functions whose
 results the workloads reuse; :func:`clear_caches` empties all of them.
@@ -34,7 +39,7 @@ from functools import lru_cache
 from importlib import import_module
 from typing import Callable, NamedTuple
 
-from .combinat import Partition, in_box, in_strict, partition, trim
+from .combinat import Partition, in_box, in_strict, trim
 
 A = "A"
 LG = "LG"
@@ -168,7 +173,7 @@ class Space(NamedTuple):
 
     def element(self, coeffs: dict) -> Element:
         """Wrap coefficients the engine computed; only zeros are dropped."""
-        elem = object.__new__(QHElement if self.kind == A else IsoQHElement)
+        elem = object.__new__(Element)
         elem.space = self
         elem.coeffs = {k: c for k, c in coeffs.items() if c}
         return elem
@@ -190,20 +195,10 @@ class Element:
             clean[(nu, d)] = clean.get((nu, d), 0) + c
         self.coeffs = {k: c for k, c in clean.items() if c != 0}
 
-    @property
-    def m(self) -> int | None:
-        return self.space.m
-
-    @property
-    def n(self) -> int:
-        return self.space.n
-
-    @property
-    def flavor(self) -> str:
-        return self.space.kind
-
     def coefficient(self, nu, d: int = 0) -> int:
-        return self.coeffs.get((partition(nu), d), 0)
+        if type(d) is not int or d < 0:
+            raise ValueError(f"q exponent d must be an int >= 0: d={d!r}")
+        return self.coeffs.get((self.space.check(nu), d), 0)
 
     def terms(self):
         """Terms sorted by ascending q power, then by descending partition."""
@@ -234,25 +229,7 @@ class Element:
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.space.label}, {self.text()})"
-
-
-class QHElement(Element):
-    """Integer combination of q^d * s[nu] in the quantum ring of G(m, N)."""
-
-    __slots__ = ()
-
-    def __init__(self, m: int, n: int, coeffs=None):
-        super().__init__(Space.of(A, m, n), coeffs)
-
-
-class IsoQHElement(Element):
-    """Integer combination of q^d times Schubert classes on LG or OG."""
-
-    __slots__ = ()
-
-    def __init__(self, flavor: str, n: int, coeffs=None):
-        super().__init__(Space.of(flavor, None, n), coeffs)
+        return f"Element({self.space.label}, {self.text()})"
 
 
 def quantum_pieri(space: Space, lam, p: int) -> Element:
@@ -302,14 +279,33 @@ def folded_product(space: Space, lam, mu) -> Element:
     return space.element(giambelli_fold(space, space.check(lam), space.check(mu)))
 
 
+def product(space: Space, lam, mu, cross_check: bool = False) -> Element:
+    """Production product of a caller's classes; ``cross_check`` recomputes it
+    by the Giambelli fold of mu into lam and raises on a disagreement."""
+    lam, mu = space.check(lam), space.check(mu)
+    result = space.element(PRODUCT[space.kind](space, lam, mu))
+    if cross_check:
+        other = space.element(giambelli_fold(space, lam, mu))
+        if result != other:
+            raise ContractViolation(
+                f"{space.kind} product routes disagree for {lam} * {mu} at n={space.n}: "
+                f"{result.text()} vs {other.text()}")
+    return result
+
+
+def invariant(space: Space, lam, mu, nu, d: int) -> int:
+    """:func:`gw` of a caller's classes."""
+    return gw(space, space.check(lam), space.check(mu), space.check(nu), d)
+
+
 def gw(space: Space, lam: Partition, mu: Partition, nu: Partition, d: int,
-       product: Callable | None = None) -> int:
+       route: Callable | None = None) -> int:
     """Degree-d invariant of admissible classes: the coefficient of q^d s[dual nu]
-    in ``product(space, lam, mu)``, by default the space's ``PRODUCT``."""
+    in ``route(space, lam, mu)``, by default the space's ``PRODUCT``."""
     if not space.in_degree(d, lam, mu, nu):
         return 0
-    product = product or PRODUCT[space.kind]
-    return product(space, lam, mu).get((space.dual(nu), d), 0)
+    route = route or PRODUCT[space.kind]
+    return route(space, lam, mu).get((space.dual(nu), d), 0)
 
 
 def clear_caches():

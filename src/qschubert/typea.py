@@ -29,8 +29,8 @@ memo entry per unordered pair, reading one Pieri table per class that
 holds s[lam] * s[p] for every p), its oracle (the determinant's monomials
 folded one by one by ``ring.giambelli_fold`` through the per-p Pieri map,
 which is built apart from the tables), the puzzle route and the
-presentation.  The element class, the fold and the invariant are shared
-with LG and OG in :mod:`qschubert.ring`.
+presentation.  The element class, the fold and the checked product and
+invariant, which each public function here calls, are in :mod:`qschubert.ring`.
 
 Inside the production product a class is one integer key: its 01-word
 (part lam_i of row i = 0..m-1 sets bit lam_i + m-1-i, the zero rows the
@@ -52,7 +52,12 @@ from . import ring
 from .combinat import (Partition, horizontal_strip_additions,
                        horizontal_strip_removals, string_degree, trim, word_jd)
 from .combinat import partition  # noqa: F401  (the benchmark self-test reads it)
-from .ring import A, QHElement, Report, Space, giambelli_fold
+from .ring import A, Element, Report, Space, giambelli_fold
+
+
+def QHElement(m: int, n: int, coeffs=None) -> Element:
+    """Integer combination of q^d * s[nu] in the quantum ring of G(m, N)."""
+    return Element(Space.of(A, m, n), coeffs)
 
 
 class SpecialMonomial(NamedTuple):
@@ -135,7 +140,7 @@ def _pieri_table(space: Space, key: int):
     return tuple(map(row, rows))
 
 
-def quantum_pieri_a(lam, p: int, m: int, n: int) -> QHElement:
+def quantum_pieri_a(lam, p: int, m: int, n: int) -> Element:
     """Quantum product of a Schubert class with the special class s[p]."""
     return ring.quantum_pieri(Space.of(A, m, n), lam, p)
 
@@ -281,19 +286,18 @@ def _laplace_product(space: Space, lam: Partition, rows: tuple[int, ...]) -> dic
     return _decode(space, states.get((1 << k) - 1, {}), weight)
 
 
-def quantum_product_a(lam, mu, m: int, n: int) -> QHElement:
+def quantum_product_a(lam, mu, m: int, n: int) -> Element:
     """Quantum product of two Schubert classes."""
-    space = Space.of(A, m, n)
-    return space.element(_product(space, space.check(lam), space.check(mu)))
+    return ring.product(Space.of(A, m, n), lam, mu)
 
 
-def product_second_folded(lam, mu, m: int, n: int) -> QHElement:
+def product_second_folded(lam, mu, m: int, n: int) -> Element:
     """Product that always folds the second factor; commuting the arguments
     exercises genuinely different computations."""
     return ring.folded_product(Space.of(A, m, n), lam, mu)
 
 
-def multiply_element_by_class(elem: QHElement, kappa, m: int, n: int) -> QHElement:
+def multiply_element_by_class(elem: Element, kappa, m: int, n: int) -> Element:
     space = Space.of(A, m, n)
     if elem.space != space:
         raise ValueError(f"{elem!r} is not an element of {space.label}")
@@ -304,8 +308,7 @@ def multiply_element_by_class(elem: QHElement, kappa, m: int, n: int) -> QHEleme
 
 def gw_a(lam, mu, nu, d: int, m: int, n: int) -> int:
     """Three-point genus-zero invariant of degree d on G(m, m+n)."""
-    space = Space.of(A, m, n)
-    return ring.gw(space, *(space.check(x) for x in (lam, mu, nu)), d)
+    return ring.invariant(Space.of(A, m, n), lam, mu, nu, d)
 
 
 def gw_a_puzzle(lam, mu, nu, d: int, m: int, n: int) -> int:

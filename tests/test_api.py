@@ -177,3 +177,61 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, str(selftest)], capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: qschubert.QHElement(2, 2, {((1,), 0): 1}),
+    lambda: qschubert.IsoQHElement("LG", 2, {((1,), 0): 1}),
+    lambda: qschubert.IsoQHElement("OG", 2, {((1,), 0): 1}),
+    lambda: qschubert.quantum_product_a((1,), (1,), 2, 2),
+    lambda: qschubert.quantum_product_lg((1,), (1,), 2),
+    lambda: qschubert.quantum_product_og((1,), (1,), 2),
+    lambda: qschubert.quantum_pieri_a((1,), 1, 2, 2),
+    lambda: qschubert.quantum_pieri_lg((1,), 1, 2),
+    lambda: qschubert.quantum_pieri_og((1,), 1, 2),
+], ids=["QHElement", "IsoQHElement-LG", "IsoQHElement-OG", "quantum_product_a",
+        "quantum_product_lg", "quantum_product_og", "quantum_pieri_a", "quantum_pieri_lg",
+        "quantum_pieri_og"])
+def test_every_element_is_one_class(make):
+    assert type(make()) is qschubert.ring.Element
+
+
+def test_element_repr_names_the_one_class():
+    assert repr(qschubert.quantum_product_a((1,), (1,), 2, 2)) == "Element(G(2,4), s[2] + s[1,1])"
+    assert repr(qschubert.IsoQHElement("OG", 2, {})) == "Element(OG(3,6), 0)"
+
+
+@pytest.mark.parametrize("nu, d", [((5,), 0), ((1, 2), 0), ((1,), 0.0), ((1,), -1), ((1,), True)],
+                         ids=["outside-the-box", "increasing", "d-float", "d-negative", "d-bool"])
+def test_coefficient_checks_the_class_and_the_degree(nu, d):
+    elem = qschubert.QHElement(2, 2, {((1,), 0): 3})
+    with pytest.raises(ValueError):
+        elem.coefficient(nu, d)
+
+
+def test_coefficient_reads_a_caller_class():
+    elem = qschubert.quantum_product_lg((2,), (2, 1), 2)
+    assert elem.coefficient([2, 0], 1) == elem.coeffs[((2,), 1)] == 1
+    assert elem.coefficient((2, 1)) == 0
+
+
+def test_label_string_is_a_frozen_value():
+    word = qschubert.LabelString("0110", "01")
+    with pytest.raises(AttributeError, match="cannot assign to field 'symbols'"):
+        word.symbols = "1001"
+    with pytest.raises(AttributeError, match="cannot delete field 'alphabet'"):
+        del word.alphabet
+    assert word == qschubert.LabelString("0110", "01")
+    assert word != qschubert.LabelString("0110", "012")
+    assert word != "0110"
+    assert len({word, qschubert.LabelString("0110", "01")}) == 1
+    assert repr(word) == "LabelString(symbols='0110', alphabet='01')"
+
+
+def test_report_equality_and_repr():
+    report = qschubert.Report(ok=False, checked=2, failures=["x"], data={"k": 1})
+    assert report == qschubert.Report(False, 2, ["x"], {"k": 1})
+    assert report != qschubert.Report(False, 2, ["y"], {"k": 1})
+    assert report != (False, 2, ["x"], {"k": 1})
+    assert repr(report) == "Report(ok=False, checked=2, failures=['x'], data={'k': 1})"
+    assert repr(qschubert.Report(True)) == "Report(ok=True, checked=0, failures=[], data={})"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qschubert import cli, verify
@@ -99,6 +100,30 @@ def test_json_output_round_trips():
     assert json.dumps(parsed, sort_keys=True) == out
     assert parsed["result"] == [{"c": 1, "d": 1, "nu": []},
                                 {"c": 1, "d": 0, "nu": [2, 2]}]
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("gw --space A --m 3 --n 3 --lambda 3,2,1 --mu 3,2,1 --nu 2,1 --d 1 --format json",
+     '{"query": {"cmd": "gw", "d": 1, "lambda": [3, 2, 1], "m": 3, "mu": [3, 2, 1], "n": 3, '
+     '"nu": [2, 1], "space": "A"}, "result": [{"c": 2, "d": 1, "nu": [2, 1]}]}'),
+    ("gw --space LG --n 3 --lambda 2,1 --mu 2 --nu 3,2 --d 1 --format json",
+     '{"query": {"cmd": "gw", "d": 1, "lambda": [2, 1], "m": null, "mu": [2], "n": 3, '
+     '"nu": [3, 2], "space": "LG"}, "result": [{"c": 1, "d": 1, "nu": [3, 2]}]}'),
+    ("gw --space OG --n 3 --lambda 3,2,1 --mu 1 --nu 2 --d 1 --method duality --format json",
+     '{"query": {"cmd": "gw", "d": 1, "lambda": [3, 2, 1], "m": null, "mu": [1], "n": 3, '
+     '"nu": [2], "space": "OG"}, "result": [{"c": 0, "d": 1, "nu": [2]}]}'),
+    ("lr --m 3 --n 3 --lambda 2,1 --mu 2,1 --nu 3,2,1 --format json",
+     '{"query": {"cmd": "lr", "lambda": [2, 1], "m": 3, "mu": [2, 1], "n": 3, '
+     '"nu": [3, 2, 1]}, "result": [{"c": 2, "d": 0, "nu": [3, 2, 1]}]}'),
+    ("lr --m 3 --n 3 --lambda 2,1 --mu 2,1 --nu 3,2,1 --method puzzle --format json",
+     '{"query": {"cmd": "lr", "lambda": [2, 1], "m": 3, "mu": [2, 1], "n": 3, '
+     '"nu": [3, 2, 1]}, "result": [{"c": 2, "d": 0, "nu": [3, 2, 1]}]}'),
+    ("lr --m 2 --n 2 --lambda 1 --mu 1 --nu 2,1 --format json",
+     '{"query": {"cmd": "lr", "lambda": [1], "m": 2, "mu": [1], "n": 2, '
+     '"nu": [2, 1]}, "result": [{"c": 0, "d": 0, "nu": [2, 1]}]}'),
+], ids=["gw-A", "gw-LG", "gw-OG-duality", "lr-pieri", "lr-puzzle", "lr-off-degree"])
+def test_json_output_bytes(argv, want):
+    assert run(*argv.split()) == (0, want)
 
 
 def test_output_determinism():

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschubert import combinat as C, qpoly as Q
+from qschubert import combinat as C, qpoly as Q, ring
 
 
 # --- independent monomial-level oracle -------------------------------------
@@ -247,3 +247,39 @@ def test_pieri_agrees_with_structure_constants():
                     continue
                 want = Q.qtilde_structure(lam, (p,) if p else (), n)
                 assert Q.qtilde_pieri(lam, p, n) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Q.EPoly(2, {(1,): 0.5}),
+    lambda: Q.EPoly(2, {(1,): 1, (2,): True}),
+    lambda: Q.EPoly(2, {(1,): 0.0}),
+    lambda: Q.EPoly.monomial(2, (1,), 1.5),
+    lambda: Q.EPoly(2.5, {(1,): 1}),
+    lambda: Q.EPoly(True, {(1,): 1}),
+    lambda: Q.EPoly(-1, {}),
+    lambda: Q.EPoly("2"),
+], ids=["c-float", "c-bool", "c-float-zero", "monomial-c-float", "n-float", "n-bool",
+        "n-negative", "n-str"])
+def test_epoly_refuses_sizes_and_coefficients_that_are_not_ints(make):
+    with pytest.raises(ValueError, match="must be an int"):
+        make()
+
+
+@pytest.fixture
+def fresh_caches():
+    ring.clear_caches()
+    yield
+    ring.clear_caches()
+
+
+@pytest.mark.parametrize("planted, message", [
+    ({(2, 1): 2}, r"pivot at \(2, 1\) is 2, not 1"),
+    ({(2, 1): 1, (1, 1, 1): -2}, r"row \(2, 1\) reaches below the diagonal at \(1, 1, 1\)"),
+], ids=["non-unit-pivot", "below-the-diagonal"])
+def test_basis_solve_refuses_a_broken_transition_row(fresh_caches, monkeypatch, planted, message):
+    n, nu, true_qtilde = 3, (2, 1), Q._qtilde
+    row = Q.EPoly(n, planted)
+    monkeypatch.setattr(Q, "_qtilde", lambda lam, k: row if (lam, k) == (nu, n)
+                        else true_qtilde(lam, k))
+    with pytest.raises(ring.ContractViolation, match=message):
+        Q.expand_in_qtilde(Q.EPoly.monomial(n, nu), n)

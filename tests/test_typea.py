@@ -74,6 +74,16 @@ def test_det_entries_of_a_deep_column_are_fast():
     assert len(monomials) == 2 ** 13 and time.perf_counter() - start < 1.0
 
 
+def test_checked_product_cross_checks_type_a(monkeypatch):
+    space = ring.Space.of(ring.A, 3, 3)
+    assert (ring.product(space, (2, 1), [2, 1], cross_check=True)
+            == A.quantum_product_a((2, 1), (2, 1), 3, 3))
+    monkeypatch.setitem(ring.PRODUCT, ring.A, lambda s, lam, mu: {((3, 3), 0): 1})
+    with pytest.raises(ring.ContractViolation,
+                       match=r"A product routes disagree for \(2, 1\) \* \(2, 1\) at n=3"):
+        ring.product(space, (2, 1), (2, 1), cross_check=True)
+
+
 def test_quantum_product_examples():
     assert A.quantum_product_a((1,), (1,), 2, 2) == E(2, 2, {
         ((2,), 0): 1, ((1, 1), 0): 1})
