@@ -235,6 +235,8 @@ def duality_check(lam, mu, nu, d: int, n: int) -> Report:
     mu, nu = lg.check(mu), lg.check(nu)
     if not lam:
         raise ValueError("lam must be nonzero")
+    if type(d) is not int:
+        raise ValueError(f"degree d must be an int: d={d!r}")
     return duality(og, lam, mu, nu, d)
 
 

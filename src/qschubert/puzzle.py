@@ -24,11 +24,14 @@ present.  The tables are pinned by the golden counts in the test suite,
 which also checks the counts against the independent Pieri-based route.
 
 Counting fills the rows from the apex down with the south side free, so
-one pass (:func:`packed_counts`) counts every south word.  A label is a
-4-bit code and a row one int, cell j at bits 4j; two transition tables
-per piece set extend a partial row by one cell, and the only memo holds
-each row's packed fillings.  Glue labels can reach the free south side,
-and :func:`south_counts` drops the words holding one.
+one walk counts every south word.  The frontier after r rows depends only
+on the NW word and the first r NE labels, so :func:`counts_by_ne` takes
+one NW word and many NE words in one depth-first walk over their sorted
+prefixes; :func:`packed_counts` is its one-word case, and the only walk.
+A label is a 4-bit code and a row one int, cell j at bits 4j; two
+transition tables per piece set extend a partial row by one cell, and the
+only memo holds each row's packed fillings.  Glue labels can reach the
+free south side, and :func:`south_counts` drops the words holding one.
 """
 
 from __future__ import annotations
@@ -114,24 +117,50 @@ def _row_fillings(kind, top, width, left0, right_req):
                   for bottom in last[left << 4 | right_req]])
 
 
+def counts_by_ne(nw: str, nes, kind: str) -> dict[str, dict[int, int]]:
+    """Puzzle counts of a kind on one engine-built NW side and each
+    engine-built NE side in ``nes``, unchecked: for every distinct NE word,
+    its counts per packed south word (:func:`pack`), glue words included.
+
+    The frontier after r rows depends only on the NW word and the first r NE
+    labels, so one depth-first walk over the sorted words keeps a stack of
+    one frontier per row: each word resumes from the deepest frontier it
+    shares with the word before it, and stops at an empty frontier.
+    """
+    lefts = [_CODE[label] for label in reversed(nw)]
+    size, prev = len(nw), ""
+    stack: list[dict[int, int]] = [{0: 1}]  # stack[r]: the frontier after r rows of prev
+    out = {}
+    for ne in sorted(set(nes)):
+        r, depth = 0, len(stack) - 1
+        while r < depth and ne[r] == prev[r]:
+            r += 1
+        del stack[r + 1:]
+        frontier = stack[r]
+        # row r + 1, top row first, has outer NW edge nw[-r - 1] and outer NE edge ne[r]
+        while frontier and r < size:
+            left0, right_req = lefts[r], _CODE[ne[r]]
+            r += 1
+            if len(frontier) == 1:
+                # one row's bottoms are distinct: two edges fix each piece
+                (top, cnt), = frontier.items()
+                frontier = dict.fromkeys(_row_fillings(kind, top, r, left0, right_req), cnt)
+            else:
+                new: dict[int, int] = defaultdict(int)
+                for top, cnt in frontier.items():
+                    for row in _row_fillings(kind, top, r, left0, right_req):
+                        new[row] += cnt
+                frontier = new
+            stack.append(frontier)
+        out[ne], prev = frontier, ne
+    return out
+
+
 def packed_counts(nw: str, ne: str, kind: str) -> dict[int, int]:
     """Puzzle counts of a kind on engine-built NW and NE sides, unchecked,
-    per packed south word (:func:`pack`), glue words included."""
-    frontier = {0: 1}
-    # row r, top row first, has outer NW edge nw[-r] and outer NE edge ne[r - 1]
-    for width, (left0, right_req) in enumerate(zip(reversed(nw), ne), 1):
-        left0, right_req = _CODE[left0], _CODE[right_req]
-        if len(frontier) == 1:
-            # one row's bottoms are distinct: two edges fix each piece
-            (top, cnt), = frontier.items()
-            frontier = dict.fromkeys(_row_fillings(kind, top, width, left0, right_req), cnt)
-            continue
-        new: dict[int, int] = defaultdict(int)
-        for top, cnt in frontier.items():
-            for row in _row_fillings(kind, top, width, left0, right_req):
-                new[row] += cnt
-        frontier = new
-    return frontier
+    per packed south word (:func:`pack`), glue words included: the one-word
+    case of :func:`counts_by_ne`."""
+    return counts_by_ne(nw, (ne,), kind)[ne]
 
 
 def south_counts(nw: str, ne: str, kind: str) -> dict[str, int]:

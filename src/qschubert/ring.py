@@ -235,8 +235,8 @@ class Element:
 def quantum_pieri(space: Space, lam, p: int) -> Element:
     """Quantum product of a caller's class with the special class of index p."""
     lam = space.check(lam)
-    if not 1 <= p <= space.n:
-        raise ValueError(f"p={p} out of range 1..{space.n}")
+    if type(p) is not int or not 1 <= p <= space.n:
+        raise ValueError(f"p={p!r} must be an int in 1..{space.n}")
     return space.element(space.pieri(lam, p))
 
 
@@ -294,7 +294,9 @@ def product(space: Space, lam, mu, cross_check: bool = False) -> Element:
 
 
 def invariant(space: Space, lam, mu, nu, d: int) -> int:
-    """:func:`gw` of a caller's classes."""
+    """:func:`gw` of a caller's classes and degree."""
+    if type(d) is not int:
+        raise ValueError(f"degree d must be an int: d={d!r}")
     return gw(space, space.check(lam), space.check(mu), space.check(nu), d)
 
 

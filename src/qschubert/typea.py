@@ -52,7 +52,7 @@ from . import ring
 from .combinat import (Partition, horizontal_strip_additions,
                        horizontal_strip_removals, string_degree, trim, word_jd)
 from .combinat import partition  # noqa: F401  (the benchmark self-test reads it)
-from .ring import A, Element, Report, Space, giambelli_fold
+from .ring import A, Element, Report, Space
 
 
 def QHElement(m: int, n: int, coeffs=None) -> Element:
@@ -297,15 +297,6 @@ def product_second_folded(lam, mu, m: int, n: int) -> Element:
     return ring.folded_product(Space.of(A, m, n), lam, mu)
 
 
-def multiply_element_by_class(elem: Element, kappa, m: int, n: int) -> Element:
-    space = Space.of(A, m, n)
-    if elem.space != space:
-        raise ValueError(f"{elem!r} is not an element of {space.label}")
-    kappa = space.check(kappa)
-    terms = {(d, nu): c for (nu, d), c in elem.coeffs.items()}
-    return space.element(ring.combine(terms, lambda nu: giambelli_fold(space, nu, kappa)))
-
-
 def gw_a(lam, mu, nu, d: int, m: int, n: int) -> int:
     """Three-point genus-zero invariant of degree d on G(m, m+n)."""
     return ring.invariant(Space.of(A, m, n), lam, mu, nu, d)
@@ -314,6 +305,8 @@ def gw_a(lam, mu, nu, d: int, m: int, n: int) -> int:
 def gw_a_puzzle(lam, mu, nu, d: int, m: int, n: int) -> int:
     """The same invariant counted as 2-step puzzles over degree-d strings."""
     space = Space.of(A, m, n)
+    if type(d) is not int:
+        raise ValueError(f"degree d must be an int: d={d!r}")
     return puzzle_invariant(space, *(space.check(x) for x in (lam, mu, nu)), d)
 
 

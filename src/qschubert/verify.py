@@ -13,7 +13,8 @@ block keep their whole grids, because their zeros are checks too.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
+from operator import itemgetter
 
 from . import isotropic, puzzle, qpoly, ring, typea
 from .combinat import (Partition, partitions_in_box, partitions_with_parts_at_most,
@@ -77,17 +78,20 @@ def _check_s3(report: Report, space: Space, graded):
 
 
 def _compare_puzzles(report: Report, space: Space, kind: str, d: int, words: dict,
-                     keys: dict, duals: dict, lam: Partition, mu: Partition, nus,
-                     coeffs: dict):
-    """Read every nu off one puzzle pass and the product coeffs of (lam, mu)."""
-    counts = puzzle.packed_counts(words[lam], words[mu], kind)
-    for nu in nus:
-        # the product is graded, so a nu of the wrong weight reads 0 there too
-        got, want = counts.get(keys[nu], 0), coeffs.get((duals[nu], d), 0)
-        report.checked += 1
-        if got != want:
-            _note(report, f"{kind} {space.label} d={d} {lam},{mu},{nu}: "
-                          f"puzzle {got} != {want}")
+                     keys: dict, duals: dict, lam: Partition, rows: list, products):
+    """Read every (mu, nu) of ``rows``, pairs (mu, nus), off one puzzle walk
+    from lam's word over the words of the mus, against the product coeffs
+    of each (lam, mu)."""
+    counts = puzzle.counts_by_ne(words[lam], [words[mu] for mu, _ in rows], kind)
+    for mu, nus in rows:
+        south, coeffs = counts[words[mu]], products(lam, mu)
+        for nu in nus:
+            # the product is graded, so a nu of the wrong weight reads 0 there too
+            got, want = south.get(keys[nu], 0), coeffs.get((duals[nu], d), 0)
+            report.checked += 1
+            if got != want:
+                _note(report, f"{kind} {space.label} d={d} {lam},{mu},{nu}: "
+                              f"puzzle {got} != {want}")
 
 
 def suite_puzzle_conjecture(max_N: int = 8) -> Report:
@@ -98,10 +102,11 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     must equal the quantum-product coefficient.  For N <= _MAX_CLASSICAL_N
     the classical 1-step count is additionally compared on all ordered
     triples, including degree-mismatched ones (both sides zero).  Each
-    (d, lam, mu) takes one puzzle pass with the south side free
-    (:func:`puzzle.packed_counts`), read at each nu's word packed once per
-    (space, d); each (lam, mu) takes one product, which the 1-step pass
-    and every degree read; every nu is one check.
+    (kind, d, lam) takes one puzzle walk with the south side free over the
+    words of its mus (:func:`puzzle.counts_by_ne`), read at each nu's word
+    packed once per (space, d); each (lam, mu) takes one product, which the
+    1-step walk and every degree read; every nu is one check, in the order
+    of (mu, nu).
     """
     report = Report(ok=True)
     for N in range(2, max_N + 1):
@@ -114,14 +119,16 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
             if N <= _MAX_CLASSICAL_N:
                 words = {lam: word_01(lam, m, n) for lam in classes}
                 keys = {lam: puzzle.pack(w) for lam, w in words.items()}
-                for lam, mu in product(classes, repeat=2):
-                    _compare_puzzles(report, space, "1step", 0, words, keys, duals, lam, mu,
-                                     classes, products(lam, mu))
+                rows = [(mu, classes) for mu in classes]
+                for lam in classes:
+                    _compare_puzzles(report, space, "1step", 0, words, keys, duals, lam, rows,
+                                     products)
             jd = [{lam: word_jd(lam, m, n, d) for lam in classes} for d in range(min(m, n) + 1)]
             jd_keys = [{lam: puzzle.pack(w) for lam, w in words.items()} for words in jd]
-            for d, lam, mu, nus in _graded(space, classes, range(min(m, n) + 1)):
-                _compare_puzzles(report, space, "2step", d, jd[d], jd_keys[d], duals, lam, mu,
-                                 nus, products(lam, mu))
+            graded = _graded(space, classes, range(min(m, n) + 1))
+            for (d, lam), group in groupby(graded, key=itemgetter(0, 1)):
+                _compare_puzzles(report, space, "2step", d, jd[d], jd_keys[d], duals, lam,
+                                 [(mu, nus) for _, _, mu, nus in group], products)
     return report
 
 

@@ -157,6 +157,30 @@ def test_entry_points_reject_sizes_that_are_not_ints(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: qschubert.duality_check((3, 2, 1), (1,), (2,), 0.5, 3),
+    lambda: qschubert.gw_a((3, 2, 1), (3, 2, 1), (2, 1), 1.0, 3, 3),
+    lambda: qschubert.gw_a((3, 2, 1), (3, 2, 1), (2, 1), True, 3, 3),
+    lambda: qschubert.gw_lg((1,), (1,), (1,), 1.0, 2),
+    lambda: qschubert.gw_a_puzzle((3, 2, 1), (3, 2, 1), (2, 1), 1.0, 3, 3),
+    lambda: qschubert.quantum_pieri_a((1,), 1.5, 2, 2),
+    lambda: qschubert.quantum_pieri_lg((1,), 1.0, 2),
+    lambda: qschubert.quantum_pieri_a((1,), True, 2, 2),
+], ids=["duality_check-d-half", "gw_a-d-float", "gw_a-d-bool", "gw_lg-d-float",
+        "gw_a_puzzle-d-float", "quantum_pieri_a-p-float", "quantum_pieri_lg-p-float",
+        "quantum_pieri_a-p-bool"])
+def test_degrees_and_special_indices_must_be_ints(call):
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
+
+
+def test_the_degree_check_is_a_type_test():
+    # a negative int degree still reads 0, and p keeps its range check
+    assert qschubert.gw_a((1,), (1,), (1,), -1, 2, 2) == 0
+    with pytest.raises(ValueError, match="must be an int in 1..2"):
+        qschubert.quantum_pieri_lg((1,), 3, 2)
+
+
 @pytest.mark.parametrize("make", [
     lambda coeffs: qschubert.QHElement(2, 2, coeffs),
     lambda coeffs: qschubert.IsoQHElement("LG", 2, coeffs),

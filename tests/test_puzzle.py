@@ -1,10 +1,10 @@
 import random
 from collections import defaultdict
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
-from qschubert import combinat as C, puzzle as P, typea as A, verify
+from qschubert import combinat as C, puzzle as P, ring, typea as A, verify
 
 
 def test_projective_plane_golden():
@@ -122,6 +122,108 @@ def test_a_missing_two_step_piece_fails_the_puzzle_suite(monkeypatch):
         P.clear_caches()
     assert not report.ok
     assert any("2step" in failure for failure in report.failures)
+
+
+def _pair_walk(nw, ne, kind):
+    """The frontier after each row of one (nw, ne) pair, walked row by row
+    from the apex: the per-pair reference of ``counts_by_ne``."""
+    frontiers = [{0: 1}]
+    for width, (left, right) in enumerate(zip(reversed(nw), ne), 1):
+        new = defaultdict(int)
+        for top, cnt in frontiers[-1].items():
+            for row in P._row_fillings(kind, top, width, P._CODE[left], P._CODE[right]):
+                new[row] += cnt
+        frontiers.append(dict(new))
+    return frontiers
+
+
+def _space_words(max_N):
+    """(kind, words) for the 01-words and every degree-d word of each G(m, N)."""
+    for N in range(1, max_N + 1):
+        for m in range(N + 1):
+            n = N - m
+            classes = C.partitions_in_box(m, n)
+            yield "1step", [C.word_01(lam, m, n) for lam in classes]
+            for d in range(min(m, n) + 1):
+                yield "2step", [C.word_jd(lam, m, n, d) for lam in classes]
+
+
+def test_the_walker_equals_a_walk_per_pair_on_every_space():
+    pairs = 0
+    for kind, words in _space_words(6):
+        for nw in words:
+            counts = P.counts_by_ne(nw, words, kind)
+            assert set(counts) == set(words)
+            for ne in words:
+                want = _pair_walk(nw, ne, kind)[-1]
+                assert counts[ne] == want, (kind, nw, ne)
+                assert P.packed_counts(nw, ne, kind) == want, (kind, nw, ne)
+                pairs += 1
+    assert pairs == 5296
+
+
+@pytest.mark.parametrize("kind, alphabet, N", [("1step", "01", 5), ("2step", "012", 4)])
+def test_the_walker_takes_unsorted_repeated_and_dying_ne_words(kind, alphabet, N):
+    # every word of length N as NE, reversed and with repeats: most sides do
+    # not match, so many walks die before the last row
+    words = ["".join(t) for t in product(alphabet, repeat=N)]
+    nes = words[::-1] + words[::3]
+    died = 0
+    for nw in words[::7]:
+        counts = P.counts_by_ne(nw, nes, kind)
+        assert set(counts) == set(words)
+        for ne in words:
+            frontiers = _pair_walk(nw, ne, kind)
+            died += not all(frontiers[:-1])
+            assert counts[ne] == frontiers[-1], (nw, ne)
+    assert died > 0
+    assert P.counts_by_ne(words[0], [], kind) == {}
+
+
+def _suite_failures(max_N):
+    """The puzzle suite's failure messages in its order: (N, m), the 1-step
+    block, then the 2-step block by (d, lam, mu, nu), each triple read off
+    its own pair walk."""
+    for N in range(2, max_N + 1):
+        for m in range(1, N):
+            n = N - m
+            space = ring.Space(ring.A, m, n)
+            classes = C.partitions_in_box(m, n)
+            rows = [("1step", 0, triple) for triple in product(classes, repeat=3)]
+            rows += [("2step", d, triple) for d in range(min(m, n) + 1)
+                     for triple in product(classes, repeat=3) if space.in_degree(d, *triple)]
+            for kind, d, (lam, mu, nu) in rows:
+                if kind == "1step":
+                    a, b, c = (C.word_01(x, m, n) for x in (lam, mu, nu))
+                else:
+                    a, b, c = (C.word_jd(x, m, n, d) for x in (lam, mu, nu))
+                got = _pair_walk(a, b, kind)[-1].get(P.pack(c), 0)
+                want = ring.PRODUCT[ring.A](space, lam, mu).get((space.dual(nu), d), 0)
+                if got != want:
+                    yield f"{kind} {space.label} d={d} {lam},{mu},{nu}: puzzle {got} != {want}"
+
+
+def test_a_planted_fault_fails_in_the_order_of_the_triples(monkeypatch):
+    # one coefficient off in every product s[lam] * s[mu], mu nonempty, on
+    # G(2,4): its first five failures come from lam = () and five mus in
+    # class order, which is not the order of their sorted 01-words
+    exact, faulty = ring.PRODUCT[ring.A], ring.Space(ring.A, 2, 2)
+
+    def mutated(space, lam, mu):
+        coeffs = exact(space, lam, mu)
+        if space == faulty and mu:
+            key = next(iter(coeffs))
+            coeffs = {**coeffs, key: coeffs[key] + 1}
+        return coeffs
+
+    monkeypatch.setitem(ring.PRODUCT, ring.A, mutated)
+    report = verify.suite_puzzle_conjecture(max_N=4)
+    want = list(islice(_suite_failures(4), 5))
+    assert not report.ok and report.failures == want
+    mus = [(1,), (1, 1), (2,), (2, 1), (2, 2)]
+    assert mus != sorted(mus, key=lambda mu: C.word_01(mu, 2, 2))
+    for failure, mu in zip(want, mus):
+        assert failure.startswith(f"1step G(2,4) d=0 (),{mu},")
 
 
 def _all_01_strings(N):

@@ -47,6 +47,16 @@ def test_each_command_runs_in_a_fresh_interpreter(argv, stdout):
     assert (done.returncode, done.stdout, done.stderr) == (0, stdout + "\n", "")
 
 
+def test_python_m_qschubert_is_the_command_line(capsys):
+    from qschubert import cli
+
+    argv, stdout = README_CALLS[2]
+    done = _python("-m", "qschubert", *argv.split())
+    code = cli.main(argv.split())
+    assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
+    assert (done.returncode, done.stdout, done.stderr) == (0, stdout + "\n", "")
+
+
 def _loaded_after(code: str) -> set[str]:
     """The qschubert modules, and hashlib, loaded after running ``code``."""
     done = _python("-c", code + "\nimport sys, json\nprint(json.dumps(sorted(m for m in "
