@@ -6,13 +6,16 @@ counts), ``string`` (boundary-string encodings), ``verify`` (batch
 suites; ``--format json`` prints the suite, ok, checks, failures and
 seconds).  Output is deterministic apart from those seconds: identical
 invocations produce identical bytes.  Exit codes: 0 success, 1 domain
-error, 2 usage error, 3 internal contract violation.
+error, 2 usage error, 3 internal contract violation.  ``gw --method``
+names a product route of ``ring.ROUTES`` or an invariant-only one kept
+here (``puzzle`` on G(m, N), ``duality`` on OG); no method means the
+production product, ``ring.PRODUCT``.
 
 Product-shaped results can be cached in a line-delimited file of JSON
 records, each keyed by the query itself and the engine version; stale
-versions and unreadable records are misses.  The location comes from
-``--cache``, falling back to the ``QSCHUBERT_CACHE`` environment
-variable.
+versions and unreadable records, undecodable ones too, are misses.  The
+location comes from ``--cache``, falling back to the ``QSCHUBERT_CACHE``
+environment variable; a path that cannot be opened is a domain error.
 
 Every call is a fresh process, so this module imports only ``ring`` and
 ``combinat`` up front.  The chosen space's module (``typea``, or
@@ -31,7 +34,7 @@ from time import perf_counter
 
 from . import __version__, ring
 from .combinat import partition, string_degree, word_01, word_jd
-from .ring import A, LG, OG, ContractViolation, Space
+from .ring import A, OG, ContractViolation, Space
 
 ENGINE_VERSION = __version__
 
@@ -64,7 +67,7 @@ def _result_json(query: dict, coeffs) -> str:
 def _cache_lookup(path: str | None, key: dict, space: Space):
     if not path or not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -132,27 +135,18 @@ def _gw_by_duality(space: Space, lam, mu, nu, d: int) -> int:
     return report.data["og"]
 
 
-# The route behind every accepted (space, --method) pair, given checked
-# classes; ring.gw uses the space's production product.
-_GW_ROUTES = {
-    (A, "pieri"): ring.gw,
-    (A, "puzzle"): _gw_by_puzzle,
-    (LG, "qtilde"): ring.gw,
-    (LG, "pieri"): lambda s, *x: ring.gw(s, *x, ring.giambelli_fold),
-    (OG, "qtilde"): ring.gw,
-    (OG, "pieri"): lambda s, *x: ring.gw(s, *x, ring.giambelli_fold),
-    (OG, "duality"): _gw_by_duality,
-}
-_GW_DEFAULTS = {A: "pieri", LG: "qtilde", OG: "qtilde"}
+# the routes of gw --method that give an invariant but no product
+_GW_INVARIANTS = {(A, "puzzle"): _gw_by_puzzle, (OG, "duality"): _gw_by_duality}
 
 
 def _cmd_gw(args, space: Space) -> str:
-    method = args.method or _GW_DEFAULTS[space.kind]
-    route = _GW_ROUTES.get((space.kind, method))
-    if route is None:
-        raise UsageError(f"--method {method} is not available on space {space.kind}")
+    invariant = _GW_INVARIANTS.get((space.kind, args.method))
+    product = ring.ROUTES[space.kind].get(args.method)  # None: ring.gw reads PRODUCT
+    if args.method and not (invariant or product):
+        raise UsageError(f"--method {args.method} is not available on space {space.kind}")
     lam, mu, nu = _classes(space, args.lam, args.mu, args.nu)
-    value = route(space, lam, mu, nu, args.d)
+    value = (invariant(space, lam, mu, nu, args.d) if invariant
+             else ring.gw(space, lam, mu, nu, args.d, product))
     if args.format == "json":
         query = {"cmd": "gw", "space": args.space, "m": args.m, "n": args.n,
                  "lambda": list(lam), "mu": list(mu), "nu": list(nu), "d": args.d}
@@ -313,7 +307,7 @@ def run(argv) -> tuple[int, str]:
         return 3, f"contract violation: {exc}"
     except UsageError as exc:
         return 2, f"usage error: {exc}"
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an unusable cache path
         return 1, f"error: {exc}"
     return 2, f"unknown command {args.command!r}"
 

@@ -310,4 +310,5 @@ for _kind, _pieri, _giambelli, _product in ((LG, _pieri_lg, _giambelli_lg, _prod
                                             (OG, _pieri_og, _giambelli_og, _product_og)):
     ring.PIERI[_kind] = _pieri
     ring.GIAMBELLI[_kind] = _giambelli
-    ring.PRODUCT[_kind] = _unordered(_product)
+    ring.ROUTES[_kind] = {"qtilde": _unordered(_product), "pieri": ring.giambelli_fold}
+    ring.PRODUCT[_kind] = ring.ROUTES[_kind]["qtilde"]

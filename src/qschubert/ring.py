@@ -5,13 +5,15 @@ class and a Giambelli formula writing any class in the special classes;
 folding one through the other (:func:`giambelli_fold`) gives products and
 invariants.  A :class:`Space` dispatches to its own rules, which live in
 :mod:`qschubert.typea` and :mod:`qschubert.isotropic` and are read
-through the registries ``PIERI``, ``GIAMBELLI`` and ``PRODUCT``: the
-first lookup of a kind imports the module that owns it, so a caller that
-imported only this module reaches every space.  Each space's production
-product in ``PRODUCT`` takes another route, with the fold as its oracle:
-the e-basis constants for LG and OG, and for G(m, N) the Jacobi-Trudi
-determinant expanded row by row (memoised in ``typea``), after turning
-the pair in its s[n] rotation orbit to the one that is cheapest to expand.
+through the registries ``PIERI``, ``GIAMBELLI``, ``ROUTES`` and
+``PRODUCT``: the first lookup of a kind imports the module that owns it,
+so a caller that imported only this module reaches every space.
+``ROUTES[kind]`` maps each ``gw --method`` name to a product route:
+``pieri`` on G(m, N), the Jacobi-Trudi determinant expanded row by row
+after turning the pair in its s[n] rotation orbit to the cheapest one
+(memoised in ``typea``); ``qtilde``, the e-basis constants, and ``pieri``,
+the fold, on LG and OG.  ``PRODUCT[kind]`` is the production one of them;
+the fold is the oracle of the others.
 
 Every element is one :class:`Element`, and each public product and
 invariant of ``typea`` and ``isotropic`` is one call into a checked entry
@@ -24,9 +26,8 @@ element by :class:`Element`'s constructor (the one reader of the command
 line's cached results too; :meth:`Element.coefficient` checks d as it
 does), and a degree of boundary strings by ``combinat.string_degree``.
 Engine code calls only trusted forms on what it built or checked, such
-as :func:`gw` and each space's production product in ``PRODUCT``, and
-only drops zero coefficients.  :meth:`Space.in_degree` is every route's
-degree rule.
+as :func:`gw` and the routes in ``ROUTES``, and only drops zero
+coefficients.  :meth:`Space.in_degree` is every route's degree rule.
 
 Memos are unbounded ``functools.lru_cache``s, put only on functions whose
 results the workloads reuse; :func:`clear_caches` empties all of them.
@@ -87,10 +88,11 @@ class Report:
 
 
 class _Rules(dict):
-    """One rule per space kind, registered by the module that owns the kind
-    when it is imported.  Looking up a kind not yet registered imports that
-    module first, so a caller that imported only this module reaches every
-    space, and a command loads only the modules of the space it runs on."""
+    """One rule (in ``ROUTES``, one table of rules) per space kind, registered
+    by the module that owns the kind when it is imported.  Looking up a kind
+    not yet registered imports that module first, so a caller that imported
+    only this module reaches every space, and a command loads only the
+    modules of the space it runs on."""
 
     _OWNERS = {A: ".typea", LG: ".isotropic", OG: ".isotropic"}
 
@@ -100,10 +102,11 @@ class _Rules(dict):
 
 
 # Each space's Pieri map (space, lam, p) -> {(nu, d): c}, Giambelli terms
-# (space, lam) -> {(d, special factors): c} and production product
-# (space, lam, mu) -> {(nu, d): c}.
+# (space, lam) -> {(d, special factors): c}, product routes by name, each
+# (space, lam, mu) -> {(nu, d): c}, and the production one of them.
 PIERI: dict[str, Callable] = _Rules()
 GIAMBELLI: dict[str, Callable] = _Rules()
+ROUTES: dict[str, dict[str, Callable]] = _Rules()
 PRODUCT: dict[str, Callable] = _Rules()
 
 

@@ -359,4 +359,5 @@ clear_caches = ring.clear_caches  # the benchmark's reference builder calls it h
 
 ring.PIERI[A] = _pieri_map
 ring.GIAMBELLI[A] = lambda space, lam: _det_terms(lam, space.n)
-ring.PRODUCT[A] = _product
+ring.ROUTES[A] = {"pieri": _product}
+ring.PRODUCT[A] = ring.ROUTES[A]["pieri"]

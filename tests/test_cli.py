@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qschubert import cli, verify
+from qschubert import cli, isotropic, ring, verify
 from qschubert.typea import Report
 
 
@@ -210,6 +210,34 @@ def test_a_hex_keyed_record_is_a_miss(tmp_path):
     assert run(*args) == expected
 
 
+def test_undecodable_cache_lines_are_misses(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    args = ("qprod", "--space", "A", "--m", "2", "--n", "2",
+            "--lambda", "1", "--mu", "1", "--cache", str(cache))
+    expected = run(*args)
+    # a bad line before a good record: the record is still a hit
+    stored = b"\xff\n" + cache.read_bytes()
+    cache.write_bytes(stored)
+    assert run(*args) == expected and cache.read_bytes() == stored
+    # only garbage: a miss, computed and appended
+    cache.write_bytes(b"\xff\xfe{\n")
+    assert run(*args) == expected
+    lines = cache.read_bytes().splitlines()
+    assert lines[0] == b"\xff\xfe{" and len(lines) == 2
+    assert json.loads(lines[1])["key"]["cmd"] == "qprod"
+
+
+def test_an_unusable_cache_path_is_a_domain_error(tmp_path, monkeypatch):
+    # a directory fails the lookup, a file in a missing directory the store
+    args = ("qprod", "--space", "A", "--m", "2", "--n", "2", "--lambda", "1", "--mu", "1")
+    missing = tmp_path / "missing" / "cache.jsonl"
+    monkeypatch.setenv("QSCHUBERT_CACHE", str(missing))
+    for path, got in ((tmp_path, run(*args, "--cache", str(tmp_path))),
+                      (missing, run(*args, "--cache", str(missing))), (missing, run(*args))):
+        assert got[0] == 1 and got[1].startswith("error: ") and repr(str(path)) in got[1]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_with_no_checks_fails():
     code, out = run("verify", "--suite", "puzzle-conjecture", "--max-N", "-3")
     assert code == 1 and "no checks" in out
@@ -255,20 +283,66 @@ def test_negative_sizes_are_domain_errors():
     assert code == 1
 
 
+def _gw_method_choices():
+    gw = cli.build_parser()._subparsers._group_actions[0].choices["gw"]
+    return next(action.choices for action in gw._actions if action.dest == "method")
+
+
 def test_gw_methods_select_a_route_or_are_rejected():
     triples = {"A": ("--m", "3", "--n", "3", "--lambda", "3,2,1", "--mu", "3,2,1",
                      "--nu", "2,1", "--d", "1"),
                "LG": ("--n", "2", "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1",
                       "--d", "2"),
                "OG": ("--n", "2", "--lambda", "2,1", "--mu", "", "--nu", "", "--d", "0")}
-    accepted = {"A": ("pieri", "puzzle"), "LG": ("qtilde", "pieri"),
-                "OG": ("qtilde", "pieri", "duality")}
+    # every product route of ring.ROUTES, and the two invariant-only routes
+    accepted = {space: set(ring.ROUTES[space]) for space in triples}
+    accepted["A"].add("puzzle")
+    accepted["OG"].add("duality")
+    assert accepted == {"A": {"pieri", "puzzle"}, "LG": {"qtilde", "pieri"},
+                        "OG": {"qtilde", "pieri", "duality"}}
+    choices = _gw_method_choices()
+    assert set().union(*accepted.values()) == set(choices)
     for space, args in triples.items():
         default = run("gw", "--space", space, *args)
         assert default[0] == 0
-        for method in ("pieri", "qtilde", "puzzle", "duality"):
+        for method in choices:
             got = run("gw", "--space", space, *args, "--method", method)
-            assert got == (default if method in accepted[space] else (2, got[1]))
+            assert got == (default if method in accepted[space] else
+                           (2, f"usage error: --method {method} is not available on space {space}"))
+
+
+def test_qtilde_is_the_e_basis_route_whatever_is_production(monkeypatch):
+    from qschubert import qpoly
+
+    structure, calls = qpoly._structure, []
+
+    def spy(*args):
+        calls.append(args)
+        return structure(*args)
+
+    ring.clear_caches()
+    monkeypatch.setattr(qpoly, "_structure", spy)
+    for kind in (ring.LG, ring.OG):
+        monkeypatch.setitem(ring.PRODUCT, kind, ring.giambelli_fold)
+    try:
+        for space, args in (("LG", ("--n", "2", "--lambda", "2,1", "--mu", "2,1",
+                                    "--nu", "2,1", "--d", "2")),
+                            ("OG", ("--n", "3", "--lambda", "3,1", "--mu", "3",
+                                    "--nu", "3,2", "--d", "1"))):
+            calls.clear()
+            default = run("gw", "--space", space, *args)
+            assert default == (0, "1") and not calls
+            assert run("gw", "--space", space, *args, "--method", "qtilde") == default
+            assert calls
+    finally:
+        ring.clear_caches()
+
+
+def test_a_failing_duality_report_is_a_contract_violation(monkeypatch):
+    planted = Report(ok=False, checked=1, failures=["planted", "second"])
+    monkeypatch.setattr(isotropic, "duality", lambda *args: planted)
+    assert run("gw", "--space", "OG", "--n", "2", "--lambda", "2,1", "--mu", "", "--nu", "",
+               "--d", "0", "--method", "duality") == (3, "contract violation: planted; second")
 
 
 def test_pieri_method_on_isotropic_spaces_is_the_fold(monkeypatch):
@@ -396,7 +470,7 @@ _COMMANDS = {
 
 
 @st.composite
-def _argv(draw, cache):
+def _argv(draw, caches):
     """A command line with the command's own options, a space and the sizes
     it needs; one in ten misses an option, one in ten has a foreign one."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
@@ -414,7 +488,7 @@ def _argv(draw, cache):
     for name in names:
         argv += [name, draw(_OPTIONS[name])]
     if command == "qprod":
-        argv += ["--cache", cache]
+        argv += ["--cache", draw(caches)]
     return argv
 
 
@@ -422,6 +496,9 @@ def _argv(draw, cache):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
 def test_cli_run_never_raises(tmp_path, data):
-    argv = data.draw(_argv(str(tmp_path / "cache.jsonl")))
+    # a usable cache path, or a directory or a path under a missing one
+    caches = _mostly(st.just(str(tmp_path / "cache.jsonl")),
+                     st.sampled_from([str(tmp_path), str(tmp_path / "missing" / "c.jsonl")]))
+    argv = data.draw(_argv(caches))
     code, out = cli.run(argv)
     assert code in (0, 1, 2, 3) and isinstance(out, str)

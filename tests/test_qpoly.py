@@ -115,6 +115,7 @@ def test_epoly_arithmetic():
     f = e1 * e1 - e2.scale(2)
     assert f.coeffs == {(1, 1): 1, (2,): -2}
     assert (f - f).is_zero()
+    assert (repr(f), repr(f - f)) == ("EPoly(1*e[1, 1] + -2*e[2])", "EPoly(0)")
     with pytest.raises(ValueError):
         Q.EPoly.monomial(3, (4,))
     with pytest.raises(ValueError):

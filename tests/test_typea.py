@@ -171,6 +171,31 @@ def test_presentation_reports():
             A.presentation_report_a(m, n)
 
 
+@pytest.fixture
+def fresh_caches():
+    ring.clear_caches()
+    yield
+    ring.clear_caches()
+
+
+def test_presentation_reports_a_wrong_determinant_and_point_class(fresh_caches, monkeypatch):
+    true_laplace, true_product = A._laplace_product, A._product
+
+    def wrong_d3(space, lam, rows):
+        # only the determinants D_k with k > m expand more than m rows
+        return {((1,), 0): 1} if len(rows) == 3 else true_laplace(space, lam, rows)
+
+    monkeypatch.setattr(A, "_laplace_product", wrong_d3)
+    report = A.presentation_report_a(2, 2)
+    assert (report.ok, report.checked, report.failures) == (False, 3, ["D_3 = s[1] on G(2,4)"])
+    monkeypatch.setattr(A, "_laplace_product", true_laplace)
+    monkeypatch.setattr(A, "_product", lambda space, lam, mu: {((2, 2), 0): 2})
+    report = A.presentation_report_a(2, 2)
+    assert report.failures == ["s[2]*s[1^2] = 2*s[2,2] on G(2,4)"]
+    monkeypatch.setattr(A, "_product", true_product)
+    assert A.presentation_report_a(2, 2).ok
+
+
 def test_multiplying_an_element_of_another_space_is_refused():
     # s[3] lives on G(2,5), and s[2,1] on LG(2,4) is no type A class
     for elem in (E(2, 3, {((3,), 0): 1}), I.IsoQHElement(I.LG, 2, {((2, 1), 0): 1})):
