@@ -230,6 +230,8 @@ def duality_check(lam, mu, nu, d: int, n: int) -> Report:
     complemented data; when len(lam) < 2d + 1 the OG invariant vanishes.
     """
     og = Space.of(OG, None, n)
+    if n < 1:
+        raise ValueError(f"duality needs n >= 1 to pair with LG(n-1, 2n-2): n={n}")
     lam = og.check(lam)
     lg = Space.of(LG, None, n - 1)
     mu, nu = lg.check(mu), lg.check(nu)

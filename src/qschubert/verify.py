@@ -7,7 +7,11 @@ Pfaffian-polynomial basis, and symmetry of the invariants) over an
 exhaustive grid bounded by the given size limits.  Graded triples, on
 G(m, N), LG or OG, come from one walk (:func:`_graded`), and every S3
 check is :func:`_check_s3`; the duality suite and the 1-step puzzle
-block keep their whole grids, because their zeros are checks too.
+block keep their whole grids, because their zeros are checks too.  The
+puzzle suite makes them in one comparison per (lam, mu) row
+(:func:`_compare_puzzles`): a class missing on both sides is a zero that
+agrees.  Every suite refuses a size bound that is not an int
+(:func:`_bound`).
 """
 
 from __future__ import annotations
@@ -38,9 +42,18 @@ def _absorb(report: Report, sub: Report):
         _note(report, f)
 
 
+def _bound(name: str, value):
+    """Refuse a suite bound that is not an int (bools included), as
+    :meth:`Space.of` refuses sizes."""
+    if type(value) is not int:
+        raise ValueError(f"suite bounds must be ints: {name}={value!r}")
+
+
 def suite_presentations(max_N: int = 8, max_n: int = 4) -> Report:
     """Ring presentations: type A for all m+n <= max_N, LG and OG for
     n <= max_n."""
+    _bound("max_N", max_N)
+    _bound("max_n", max_n)
     report = Report(ok=True)
     for N in range(2, max_N + 1):
         for m in range(1, N):
@@ -58,9 +71,11 @@ def _graded(space: Space, classes: list, degrees):
     by_weight: dict[int, list] = {}
     for nu in classes:
         by_weight.setdefault(sum(nu), []).append(nu)
+    weighed = [(lam, sum(lam)) for lam in classes]
     for d in degrees:
-        for lam, mu in product(classes, repeat=2):
-            nus = by_weight.get(space.dim + d * space.q_degree - sum(lam) - sum(mu))
+        top = space.dim + d * space.q_degree
+        for (lam, a), (mu, b) in product(weighed, repeat=2):
+            nus = by_weight.get(top - a - b)
             if nus:
                 yield d, lam, mu, nus
 
@@ -78,13 +93,27 @@ def _check_s3(report: Report, space: Space, graded):
 
 
 def _compare_puzzles(report: Report, space: Space, kind: str, d: int, words: dict,
-                     keys: dict, duals: dict, lam: Partition, rows: list, products):
-    """Read every (mu, nu) of ``rows``, pairs (mu, nus), off one puzzle walk
+                     keys: dict, duals: dict, class_at_key: dict, class_at_dual: dict,
+                     lam: Partition, rows: list, products):
+    """Check every (mu, nu) of ``rows``, pairs (mu, nus), off one puzzle walk
     from lam's word over the words of the mus, against the product coeffs
-    of each (lam, mu)."""
+    of each (lam, mu).
+
+    ``class_at_key`` and ``class_at_dual`` invert ``keys`` and ``duals``, which
+    are injective on classes.  A row whose counts at class words (glue words
+    dropped) equal its degree-d coefficients, both keyed by nu, passes
+    len(nus) checks at once: every nu, zeros included, has count ==
+    coefficient.  Any other row is read nu by nu, in order, for its failure
+    messages.
+    """
     counts = puzzle.counts_by_ne(words[lam], [words[mu] for mu, _ in rows], kind)
     for mu, nus in rows:
         south, coeffs = counts[words[mu]], products(lam, mu)
+        found = {class_at_key[w]: c for w, c in south.items() if w in class_at_key}
+        due = {class_at_dual[x]: c for (x, e), c in coeffs.items() if e == d}
+        if found == due:
+            report.checked += len(nus)
+            continue
         for nu in nus:
             # the product is graded, so a nu of the wrong weight reads 0 there too
             got, want = south.get(keys[nu], 0), coeffs.get((duals[nu], d), 0)
@@ -105,9 +134,12 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     (kind, d, lam) takes one puzzle walk with the south side free over the
     words of its mus (:func:`puzzle.counts_by_ne`), read at each nu's word
     packed once per (space, d); each (lam, mu) takes one product, which the
-    1-step walk and every degree read; every nu is one check, in the order
-    of (mu, nu).
+    1-step walk and every degree read.  Every nu is one check, in the order
+    of (mu, nu); a (lam, mu) row is compared whole, on its nonzero entries
+    by class, and read nu by nu only where it differs
+    (:func:`_compare_puzzles`).
     """
+    _bound("max_N", max_N)
     report = Report(ok=True)
     for N in range(2, max_N + 1):
         for m in range(1, N):
@@ -116,18 +148,22 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
             products = lru_cache(maxsize=None)(partial(ring.PRODUCT[A], space))
             classes = partitions_in_box(m, n)
             duals = {lam: space.dual(lam) for lam in classes}
+            class_at_dual = {x: lam for lam, x in duals.items()}
             if N <= _MAX_CLASSICAL_N:
                 words = {lam: word_01(lam, m, n) for lam in classes}
                 keys = {lam: puzzle.pack(w) for lam, w in words.items()}
+                class_at_key = {k: lam for lam, k in keys.items()}
                 rows = [(mu, classes) for mu in classes]
                 for lam in classes:
-                    _compare_puzzles(report, space, "1step", 0, words, keys, duals, lam, rows,
-                                     products)
+                    _compare_puzzles(report, space, "1step", 0, words, keys, duals,
+                                     class_at_key, class_at_dual, lam, rows, products)
             jd = [{lam: word_jd(lam, m, n, d) for lam in classes} for d in range(min(m, n) + 1)]
             jd_keys = [{lam: puzzle.pack(w) for lam, w in words.items()} for words in jd]
+            jd_classes = [{k: lam for lam, k in keys.items()} for keys in jd_keys]
             graded = _graded(space, classes, range(min(m, n) + 1))
             for (d, lam), group in groupby(graded, key=itemgetter(0, 1)):
-                _compare_puzzles(report, space, "2step", d, jd[d], jd_keys[d], duals, lam,
+                _compare_puzzles(report, space, "2step", d, jd[d], jd_keys[d], duals,
+                                 jd_classes[d], class_at_dual, lam,
                                  [(mu, nus) for _, _, mu, nus in group], products)
     return report
 
@@ -135,6 +171,7 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
 def suite_duality(max_n: int = 4) -> Report:
     """OG invariants against their LG partners, including the vanishing
     clause for partitions shorter than 2d+1."""
+    _bound("max_n", max_n)
     report = Report(ok=True)
     for n in range(1, max_n + 1):
         og = Space(OG, None, n)
@@ -151,6 +188,7 @@ def suite_duality(max_n: int = 4) -> Report:
 def suite_line_numbers(max_n: int = 3) -> Report:
     """Degree-one LG invariants against half the classical triple one
     size up, for every weight-matching triple."""
+    _bound("max_n", max_n)
     report = Report(ok=True)
     for n in range(1, max_n + 1):
         space = Space(LG, None, n)
@@ -196,6 +234,8 @@ def suite_qtilde_properties(max_n: int = 4, max_weight: int = 12) -> Report:
     brute-force monomial expansion, Pieri versus structure constants,
     vanishing above n, Pfaffian expansion consistency, and the power-of-two
     divisibility of the quantum LG constants."""
+    _bound("max_n", max_n)
+    _bound("max_weight", max_weight)
     report = Report(ok=True)
     for n in range(1, max_n + 1):
         # vanishing above n
@@ -272,6 +312,8 @@ def suite_symmetry(max_N: int = 7, max_n: int = 4) -> Report:
     of the type A product and its rotation identity: s[n] * s[lam] is one
     term q^d1 s[lam'] (the quantum Pieri rule) and s[n] * s[mu'] = q^d2
     s[mu] for one mu', so q^d2 lam * mu = q^d1 lam' * mu'."""
+    _bound("max_N", max_N)
+    _bound("max_n", max_n)
     report = Report(ok=True)
     for N in range(2, max_N + 1):
         for m in range(1, N):

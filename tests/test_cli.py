@@ -345,6 +345,12 @@ def test_a_failing_duality_report_is_a_contract_violation(monkeypatch):
                "--d", "0", "--method", "duality") == (3, "contract violation: planted; second")
 
 
+def test_duality_on_og_with_n_zero_names_the_callers_n():
+    assert run("gw", "--space", "OG", "--n", "0", "--lambda", "0", "--mu", "0", "--nu", "0",
+               "--d", "0", "--method", "duality") == \
+        (1, "error: duality needs n >= 1 to pair with LG(n-1, 2n-2): n=0")
+
+
 def test_pieri_method_on_isotropic_spaces_is_the_fold(monkeypatch):
     from qschubert import qpoly
 

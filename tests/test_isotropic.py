@@ -123,6 +123,11 @@ def test_duality_examples():
                         assert I.duality_check(lam, mu, nu, d, n).ok
 
 
+def test_duality_check_refuses_n_below_one_by_the_callers_n():
+    with pytest.raises(ValueError, match=r"n >= 1 .*: n=0$"):
+        I.duality_check((1,), (), (), 0, 0)
+
+
 def test_presentation_reports():
     for n in range(1, 5):
         for flavor in (I.LG, I.OG):

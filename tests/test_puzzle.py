@@ -180,27 +180,35 @@ def test_the_walker_takes_unsorted_repeated_and_dying_ne_words(kind, alphabet, N
     assert P.counts_by_ne(words[0], [], kind) == {}
 
 
-def _suite_failures(max_N):
-    """The puzzle suite's failure messages in its order: (N, m), the 1-step
-    block, then the 2-step block by (d, lam, mu, nu), each triple read off
-    its own pair walk."""
+def _suite_rows(max_N):
+    """The puzzle suite's checks in its order, as (space, kind, d, triple):
+    (N, m), the 1-step block, then the 2-step block by (d, lam, mu, nu)."""
     for N in range(2, max_N + 1):
         for m in range(1, N):
             n = N - m
             space = ring.Space(ring.A, m, n)
             classes = C.partitions_in_box(m, n)
-            rows = [("1step", 0, triple) for triple in product(classes, repeat=3)]
-            rows += [("2step", d, triple) for d in range(min(m, n) + 1)
-                     for triple in product(classes, repeat=3) if space.in_degree(d, *triple)]
-            for kind, d, (lam, mu, nu) in rows:
-                if kind == "1step":
-                    a, b, c = (C.word_01(x, m, n) for x in (lam, mu, nu))
-                else:
-                    a, b, c = (C.word_jd(x, m, n, d) for x in (lam, mu, nu))
-                got = _pair_walk(a, b, kind)[-1].get(P.pack(c), 0)
-                want = ring.PRODUCT[ring.A](space, lam, mu).get((space.dual(nu), d), 0)
-                if got != want:
-                    yield f"{kind} {space.label} d={d} {lam},{mu},{nu}: puzzle {got} != {want}"
+            for triple in product(classes, repeat=3):
+                yield space, "1step", 0, triple
+            for d in range(min(m, n) + 1):
+                for triple in product(classes, repeat=3):
+                    if space.in_degree(d, *triple):
+                        yield space, "2step", d, triple
+
+
+def _suite_failures(max_N):
+    """The puzzle suite's failure messages in its order, each triple read
+    off its own pair walk."""
+    for space, kind, d, (lam, mu, nu) in _suite_rows(max_N):
+        m, n = space.m, space.n
+        if kind == "1step":
+            a, b, c = (C.word_01(x, m, n) for x in (lam, mu, nu))
+        else:
+            a, b, c = (C.word_jd(x, m, n, d) for x in (lam, mu, nu))
+        got = _pair_walk(a, b, kind)[-1].get(P.pack(c), 0)
+        want = ring.PRODUCT[ring.A](space, lam, mu).get((space.dual(nu), d), 0)
+        if got != want:
+            yield f"{kind} {space.label} d={d} {lam},{mu},{nu}: puzzle {got} != {want}"
 
 
 def test_a_planted_fault_fails_in_the_order_of_the_triples(monkeypatch):
@@ -224,6 +232,53 @@ def test_a_planted_fault_fails_in_the_order_of_the_triples(monkeypatch):
     assert mus != sorted(mus, key=lambda mu: C.word_01(mu, 2, 2))
     for failure, mu in zip(want, mus):
         assert failure.startswith(f"1step G(2,4) d=0 (),{mu},")
+
+
+def test_a_product_term_of_the_wrong_weight_fails_its_zero_checks(monkeypatch):
+    # every product s[()] * s[mu], mu nonempty, on G(2,4) also holds q^0 s[()],
+    # of weight 0 where |mu| is due: only the 1-step checks of nu = (2,2),
+    # whose puzzle counts are 0, read it
+    exact, faulty = ring.PRODUCT[ring.A], ring.Space(ring.A, 2, 2)
+
+    def planted(space, lam, mu):
+        coeffs = exact(space, lam, mu)
+        if space == faulty and not lam and mu:
+            coeffs = {**coeffs, ((), 0): 1}
+        return coeffs
+
+    monkeypatch.setitem(ring.PRODUCT, ring.A, planted)
+    P.clear_caches()
+    try:
+        report = verify.suite_puzzle_conjecture(max_N=4)
+        want = list(islice(_suite_failures(4), 5))
+    finally:
+        P.clear_caches()
+    assert report.checked == sum(1 for _ in _suite_rows(4))
+    assert not report.ok and report.failures == want
+    mus = [(1,), (1, 1), (2,), (2, 1), (2, 2)]
+    assert want == [f"1step G(2,4) d=0 (),{mu},(2, 2): puzzle 0 != 1" for mu in mus]
+
+
+def test_a_puzzle_count_of_the_wrong_weight_fails_its_zero_check(monkeypatch):
+    # the 1-step walk from s[1]'s word on G(2,4) also finds one puzzle with
+    # NE and south side s[1]'s word: 1 + 1 + 1 boxes where 4 are due
+    walk, word = P.counts_by_ne, C.word_01((1,), 2, 2)
+
+    def planted(nw, nes, kind):
+        counts = walk(nw, nes, kind)
+        if kind == "1step" and nw == word:
+            counts[word] = {**counts[word], P.pack(word): 1}
+        return counts
+
+    monkeypatch.setattr(P, "counts_by_ne", planted)
+    P.clear_caches()
+    try:
+        report = verify.suite_puzzle_conjecture(max_N=4)
+    finally:
+        P.clear_caches()
+    assert report.checked == sum(1 for _ in _suite_rows(4))
+    assert not report.ok
+    assert report.failures == ["1step G(2,4) d=0 (1,),(1,),(1,): puzzle 1 != 0"]
 
 
 def _all_01_strings(N):

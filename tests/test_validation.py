@@ -1,6 +1,8 @@
 """Input is checked once: each public entry point checks each partition
 argument exactly once, and the engine's own loops check nothing."""
 
+import inspect
+import re
 import sys
 from itertools import product
 
@@ -31,6 +33,23 @@ def test_suites_check_no_partition(checked, suite):
     report = suite()
     assert report.ok and report.checked > 0
     assert checked == []
+
+
+SUITE_BOUNDS = [(name, bound) for name, suite in verify.SUITES.items()
+                for bound in inspect.signature(suite).parameters]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 1.0])
+@pytest.mark.parametrize("name, bound", SUITE_BOUNDS, ids=[f"{n}-{b}" for n, b in SUITE_BOUNDS])
+def test_suites_refuse_a_bound_that_is_not_an_int(name, bound, value):
+    with pytest.raises(ValueError, match=re.escape(f"{bound}={value!r}")):
+        verify.SUITES[name](**{bound: value})
+
+
+def test_an_int_bound_below_every_grid_is_an_empty_run():
+    assert len(SUITE_BOUNDS) == 9
+    report = verify.suite_puzzle_conjecture(max_N=1)
+    assert report.ok and report.checked == 0
 
 
 @pytest.fixture
