@@ -28,10 +28,13 @@ one walk counts every south word.  The frontier after r rows depends only
 on the NW word and the first r NE labels, so :func:`counts_by_ne` takes
 one NW word and many NE words in one depth-first walk over their sorted
 prefixes; :func:`packed_counts` is its one-word case, and the only walk.
-A label is a 4-bit code and a row one int, cell j at bits 4j; two
-transition tables per piece set extend a partial row by one cell, and the
-only memo holds each row's packed fillings.  Glue labels can reach the
-free south side, and :func:`south_counts` drops the words holding one.
+A label is a 4-bit code and a row one int, cell j at bits 4j.  The only
+memo, :func:`_row_fillings`, holds each row's packed fillings under one int
+key: a row is the pieces of its first cell, read off two transition tables
+per piece set, each joined to the memoised fillings of the rest of the
+row, so rows that end alike share one entry for their common end.  Glue
+labels can reach the free south side, and :func:`south_counts` drops the
+words holding one.
 """
 
 from __future__ import annotations
@@ -100,21 +103,49 @@ def _unpack(row: int, width: int) -> str:
     return format(row | 1 << 4 * width, "x")[1:].translate(_FROM_HEX)
 
 
+_KINDS = ("1step", "2step")  # bit 0 of a row key names the piece set
+_DEPTH = 128  # the widest row filled by recursion alone
+
+
+def _row_key(kind: str, top: int, width: int, left0: int, right_req: int) -> int:
+    """The :func:`_row_fillings` key of a row of ``width`` cells of a kind
+    under the packed row ``top``: a 1 above its width - 1 labels (as in
+    :func:`_unpack`), then the outer NW edge, the outer NE edge and the kind."""
+    return (top | 1 << 4 * width - 4) << 9 | left0 << 5 | right_req << 1 | _KINDS.index(kind)
+
+
 @lru_cache(maxsize=None)
-def _row_fillings(kind, top, width, left0, right_req):
-    """All packed bottom rows (cell j at bits 4j) of a row of ``width``
-    upward triangles under the packed row ``top`` of width - 1 labels, in
-    the order of the piece tables; the row's outer NW edge is ``left0`` and
-    its outer NE edge must be ``right_req``."""
-    _, _, inner, last = _TABLES[kind]
+def _row_fillings(key):
+    """All packed bottom rows (cell j at bits 4j) of the row with key
+    ``key`` (:func:`_row_key`), in the order of the piece tables, cell 0
+    outermost.
+
+    A row of one cell is a ``last`` entry.  A wider row is the pieces of
+    its first cell, each joined to the fillings of the other cells: the
+    row under the top shifted by one label, from that piece's next left
+    edge, with the same NE edge and kind.  Rows that end alike thus share
+    one entry for their common end.  A row wider than ``_DEPTH`` cells
+    fills all but its last ``_DEPTH`` cells in one loop, which bounds the
+    recursion.
+    """
+    _, _, inner, last = _TABLES[_KINDS[key & 1]]
+    # top: the top labels under their 1; end: the NE edge and the kind
+    top, left0, end = key >> 9, key >> 5 & 15, key & 31
+    if top == 1:
+        return last[left0 << 4 | end >> 1]
+    if not top >> 4 * _DEPTH:
+        rest = top >> 4 << 9 | end
+        return tuple([bottom | row << 4 for bottom, nxt in inner[(top & 15) << 4 | left0]
+                      for row in _row_fillings(rest | nxt << 5)])
+    cut = (top.bit_length() - 1) // 4 - _DEPTH + 1  # cells filled by the loop
     partial = [(0, left0)]
-    for shift in range(0, 4 * width - 4, 4):
+    for shift in range(0, 4 * cut, 4):
         t = (top >> shift & 15) << 4
         partial = [(row | bottom << shift, nxt) for row, left in partial
                    for bottom, nxt in inner[t | left]]
-    shift = 4 * width - 4
-    return tuple([row | bottom << shift for row, left in partial
-                  for bottom in last[left << 4 | right_req]])
+    rest = top >> 4 * cut << 9 | end
+    return tuple([row | tail << 4 * cut for row, left in partial
+                  for tail in _row_fillings(rest | left << 5)])
 
 
 def counts_by_ne(nw: str, nes, kind: str) -> dict[str, dict[int, int]]:
@@ -127,8 +158,8 @@ def counts_by_ne(nw: str, nes, kind: str) -> dict[str, dict[int, int]]:
     one frontier per row: each word resumes from the deepest frontier it
     shares with the word before it, and stops at an empty frontier.
     """
-    lefts = [_CODE[label] for label in reversed(nw)]
-    size, prev = len(nw), ""
+    lefts = [_CODE[label] << 5 for label in reversed(nw)]
+    size, prev, step = len(nw), "", _KINDS.index(kind)
     stack: list[dict[int, int]] = [{0: 1}]  # stack[r]: the frontier after r rows of prev
     out = {}
     for ne in sorted(set(nes)):
@@ -137,18 +168,19 @@ def counts_by_ne(nw: str, nes, kind: str) -> dict[str, dict[int, int]]:
             r += 1
         del stack[r + 1:]
         frontier = stack[r]
-        # row r + 1, top row first, has outer NW edge nw[-r - 1] and outer NE edge ne[r]
+        # row r + 1, top row first, has outer NW edge nw[-r - 1] and outer NE
+        # edge ne[r]; its key is top << 9 | edges (see _row_key)
         while frontier and r < size:
-            left0, right_req = lefts[r], _CODE[ne[r]]
+            edges = 1 << 4 * r + 9 | lefts[r] | _CODE[ne[r]] << 1 | step
             r += 1
             if len(frontier) == 1:
                 # one row's bottoms are distinct: two edges fix each piece
                 (top, cnt), = frontier.items()
-                frontier = dict.fromkeys(_row_fillings(kind, top, r, left0, right_req), cnt)
+                frontier = dict.fromkeys(_row_fillings(top << 9 | edges), cnt)
             else:
                 new: dict[int, int] = defaultdict(int)
                 for top, cnt in frontier.items():
-                    for row in _row_fillings(kind, top, r, left0, right_req):
+                    for row in _row_fillings(top << 9 | edges):
                         new[row] += cnt
                 frontier = new
             stack.append(frontier)
@@ -230,7 +262,7 @@ def dump_fillings(nw, ne, s, kind="1step"):
             return
         left0, right_req = nw[-width], ne[width - 1]
         tops = _unpack(top, width - 1)[::-1]
-        for row in _row_fillings(kind, top, width, _CODE[left0], _CODE[right_req]):
+        for row in _row_fillings(_row_key(kind, top, width, _CODE[left0], _CODE[right_req])):
             cells, left = [], left0
             for j, bottom in enumerate(_unpack(row, width)[::-1]):
                 right = right_of[(left, bottom)]

@@ -508,3 +508,15 @@ def test_cli_run_never_raises(tmp_path, data):
     argv = data.draw(_argv(caches))
     code, out = cli.run(argv)
     assert code in (0, 1, 2, 3) and isinstance(out, str)
+
+
+@pytest.mark.parametrize("kind, nw, ne, s, count", [
+    ("1step", "0" * 1100, "0" * 1100, "0" * 1100, "1"),
+    ("1step", "01" * 550, "10" * 550, "01" * 550, "0"),
+    ("2step", "012" * 367, "210" * 367, "012" * 367, "0"),
+    ("1step", "", "", "", "1"),
+    ("2step", "", "", "", "1")],
+    ids=["1step-zeros", "1step-01", "2step-012", "1step-empty", "2step-empty"])
+def test_puzzle_command_on_wide_and_empty_boundaries(kind, nw, ne, s, count):
+    # rows of 1,100 cells: no recursion-depth traceback, no truncated width
+    assert run("puzzle", "--type", kind, "--nw", nw, "--ne", ne, "--s", s) == (0, count)

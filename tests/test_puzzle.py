@@ -1,5 +1,6 @@
 import random
 from collections import defaultdict
+from functools import lru_cache
 from itertools import islice, permutations, product
 
 import pytest
@@ -106,9 +107,72 @@ def test_row_fillings_equal_a_cell_walk_of_the_pieces(kind, ups, downs):
             for left in labels:
                 walked = _walk_row(ups, downs, top, left)
                 for right in labels:
-                    got = P._row_fillings(kind, P.pack(top[::-1]), width,
-                                          P._CODE[left], P._CODE[right])
+                    got = P._row_fillings(P._row_key(kind, P.pack(top[::-1]), width,
+                                                     P._CODE[left], P._CODE[right]))
                     assert got == tuple(P.pack(b[::-1]) for b, r in walked if r == right)
+
+
+_PIECES = {"1step": (P._UP_PATTERNS_1, P._DOWN_PATTERNS_1),
+           "2step": (P._UP_PATTERNS_2, P._DOWN_PATTERNS_2)}
+_LABEL = {code: label for label, code in P._CODE.items()}
+
+
+@lru_cache(maxsize=None)
+def _walked(kind, top, left):
+    return _walk_row(*_PIECES[kind], top, left)
+
+
+def _assert_row_equals_the_cell_walk(key):
+    kind, right, left = P._KINDS[key & 1], _LABEL[key >> 1 & 15], _LABEL[key >> 5 & 15]
+    width = (key >> 9).bit_length() // 4 + 1
+    top = P._unpack(key >> 9, width - 1)[::-1]
+    assert P._row_key(kind, P.pack(top[::-1]), width, P._CODE[left], P._CODE[right]) == key
+    assert P._row_fillings(key) == tuple(P.pack(b[::-1]) for b, r in _walked(kind, top, left)
+                                         if r == right)
+
+
+def test_every_row_the_puzzle_suite_reads_equals_a_cell_walk(monkeypatch):
+    keys, fill = set(), P._row_fillings
+
+    def recording(key):
+        keys.add(key)
+        return fill(key)
+
+    P.clear_caches()  # before the patch, so that every row recurses through it
+    monkeypatch.setattr(P, "_row_fillings", recording)
+    try:
+        assert verify.suite_puzzle_conjecture(max_N=6).ok
+    finally:
+        monkeypatch.undo()
+        P.clear_caches()
+    assert {key & 1 for key in keys} == {0, 1}
+    for key in sorted(keys):
+        _assert_row_equals_the_cell_walk(key)
+
+
+@pytest.mark.parametrize("kind, top", [("1step", "01" * 65), ("2step", "012" * 44)],
+                         ids=["1step", "2step"])
+def test_rows_past_the_recursion_bound_equal_a_cell_walk(kind, top):
+    # widths 131 and 133: the first cells are filled by the loop; a row's
+    # outer edges are boundary labels
+    assert len(top) + 1 > P._DEPTH
+    for left, right in product(P._ALPHABETS[kind], repeat=2):
+        _assert_row_equals_the_cell_walk(
+            P._row_key(kind, P.pack(top[::-1]), len(top) + 1, P._CODE[left], P._CODE[right]))
+
+
+@pytest.mark.parametrize("piece", ["10x", "0x1", "x10"])
+def test_a_missing_one_step_piece_fails_the_puzzle_suite(monkeypatch, piece):
+    ups = [up for up in P._UP_PATTERNS_1 if up != tuple(piece)]
+    assert len(ups) == len(P._UP_PATTERNS_1) - 1
+    monkeypatch.setitem(P._TABLES, "1step", P._index(ups, P._DOWN_PATTERNS_1))
+    P.clear_caches()
+    try:
+        report = verify.suite_puzzle_conjecture(max_N=4)
+    finally:
+        P.clear_caches()
+    assert not report.ok
+    assert all(failure.startswith("1step") for failure in report.failures)
 
 
 def test_a_missing_two_step_piece_fails_the_puzzle_suite(monkeypatch):
@@ -131,7 +195,7 @@ def _pair_walk(nw, ne, kind):
     for width, (left, right) in enumerate(zip(reversed(nw), ne), 1):
         new = defaultdict(int)
         for top, cnt in frontiers[-1].items():
-            for row in P._row_fillings(kind, top, width, P._CODE[left], P._CODE[right]):
+            for row in P._row_fillings(P._row_key(kind, top, width, P._CODE[left], P._CODE[right])):
                 new[row] += cnt
         frontiers.append(dict(new))
     return frontiers
