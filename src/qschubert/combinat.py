@@ -42,14 +42,6 @@ def trim(parts: tuple[int, ...]) -> Partition:
     return parts[:end]
 
 
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
 def is_strict(lam: Partition) -> bool:
     return all(lam[i] > lam[i + 1] for i in range(len(lam) - 1))
 
@@ -84,6 +76,13 @@ def in_strict(lam, n: int) -> Partition:
     raise ValueError(f"{lam} is not a strict partition bounded by {n}")
 
 
+def sizes(**named) -> None:
+    """Check a caller's sizes and indices, by name: ints (not bools), each >= 0."""
+    for name, value in named.items():
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} must be an int >= 0 (ints, not bools): {name}={value!r}")
+
+
 def string_degree(d, m: int, n: int) -> int:
     """Check a caller's degree of boundary strings on the m x n rectangle:
     an int (not a bool) with 0 <= d <= min(m, n)."""
@@ -100,20 +99,21 @@ def conjugate(lam) -> Partition:
 
 def rect_dual(lam: Partition, m: int, n: int) -> Partition:
     """Complement of ``lam`` in the m x n rectangle, rotated 180 degrees."""
+    sizes(m=m, n=n)
     padded = in_box(lam, m, n) + (0,) * m
     return trim(tuple(n - padded[m - 1 - i] for i in range(m)))
 
 
 def strict_dual(nu, n: int) -> Partition:
     """Complement of the parts of a strict partition in {1, ..., n}."""
+    sizes(n=n)
     missing = set(range(1, n + 1)) - set(in_strict(nu, n))
     return tuple(sorted(missing, reverse=True))
 
 
 def remove_columns(lam, d: int) -> Partition:
     """Remove the leftmost ``d`` columns: each part drops by d, floored at 0."""
-    if type(d) is not int or d < 0:
-        raise ValueError(f"cannot remove d={d!r} columns")
+    sizes(d=d)
     return trim(tuple(max(x - d, 0) for x in partition(lam)))
 
 
@@ -123,6 +123,7 @@ def hat_map(lam, n: int) -> Partition:
     The image lies in the strict partitions bounded by n - 1; a zero part
     (arising when the first part equals n) is dropped.
     """
+    sizes(n=n)
     lam = in_strict(lam, n)
     if not lam:
         raise ValueError("hat_map requires a nonzero partition")
@@ -180,6 +181,7 @@ def to_01_string(lam: Partition, m: int, n: int) -> LabelString:
 
     The '0's sit at positions i + lam[m+1-i] for i = 1..m (1-indexed).
     """
+    sizes(m=m, n=n)
     return LabelString(word_01(in_box(lam, m, n), m, n), ALPHABET_01)
 
 
@@ -194,6 +196,8 @@ def word_01(lam: Partition, m: int, n: int) -> str:
 
 def from_01_string(s, m: int | None = None) -> tuple[Partition, int, int]:
     """Inverse of :func:`to_01_string`; returns (partition, m, n)."""
+    if m is not None:
+        sizes(m=m)
     text = s.symbols if isinstance(s, LabelString) else str(s)
     if set(text) - set(ALPHABET_01):
         raise ValueError(f"not a 01-string: {text!r}")
@@ -217,6 +221,7 @@ def jd_string(lam: Partition, m: int, n: int, d: int) -> LabelString:
     Double every label of the 01-string, then turn the first d '2's and
     the last d '0's into '1's.  The result has m-d zeros and 2d ones.
     """
+    sizes(m=m, n=n)
     d = string_degree(d, m, n)
     return LabelString(word_jd(in_box(lam, m, n), m, n, d), ALPHABET_012)
 
@@ -236,6 +241,7 @@ def word_jd(lam: Partition, m: int, n: int, d: int) -> str:
 def string012_to_permutation(s, a: int, b: int) -> tuple[int, ...]:
     """Permutation whose first a, next b-a, and last entries are the sorted
     positions of '0', '1', '2' in the string."""
+    sizes(a=a, b=b)
     text = s.symbols if isinstance(s, LabelString) else str(s)
     if set(text) - set(ALPHABET_012):
         raise ValueError(f"not a 012-string: {text!r}")

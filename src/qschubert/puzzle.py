@@ -25,9 +25,10 @@ which also checks the counts against the independent Pieri-based route.
 
 Counting fills the rows from the apex down with the south side free, so
 one walk counts every south word.  The frontier after r rows depends only
-on the NW word and the first r NE labels, so :func:`counts_by_ne` takes
-one NW word and many NE words in one depth-first walk over their sorted
-prefixes; :func:`packed_counts` is its one-word case, and the only walk.
+on the NW word and the first r NE labels, so :func:`counts_by_ne`, the
+only walk, takes one NW word and many NE words in one depth-first walk
+over their sorted prefixes; :func:`count` and :func:`south_counts` walk
+one NE word.
 A label is a 4-bit code and a row one int, cell j at bits 4j.  The only
 memo, :func:`_row_fillings`, holds each row's packed fillings under one int
 key: a row is the pieces of its first cell, read off two transition tables
@@ -188,23 +189,16 @@ def counts_by_ne(nw: str, nes, kind: str) -> dict[str, dict[int, int]]:
     return out
 
 
-def packed_counts(nw: str, ne: str, kind: str) -> dict[int, int]:
-    """Puzzle counts of a kind on engine-built NW and NE sides, unchecked,
-    per packed south word (:func:`pack`), glue words included: the one-word
-    case of :func:`counts_by_ne`."""
-    return counts_by_ne(nw, (ne,), kind)[ne]
-
-
 def south_counts(nw: str, ne: str, kind: str) -> dict[str, int]:
     """Puzzle counts of a kind on engine-built NW and NE sides, unchecked, per south word."""
     glue = int("0" + "8" * len(nw), 16)
     return {_unpack(row, len(nw)): cnt
-            for row, cnt in packed_counts(nw, ne, kind).items() if not row & glue}
+            for row, cnt in counts_by_ne(nw, (ne,), kind)[ne].items() if not row & glue}
 
 
 def count(nw: str, ne: str, s: str, kind: str) -> int:
     """Number of puzzles of a kind with a boundary the engine built, unchecked."""
-    return packed_counts(nw, ne, kind).get(pack(s), 0)
+    return counts_by_ne(nw, (ne,), kind)[ne].get(pack(s), 0)
 
 
 def _as_text(s, alphabet: str) -> str:

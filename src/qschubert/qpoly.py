@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .combinat import (Partition, _components, horizontal_strip_additions, is_strict,
-                       partition)
+                       partition, sizes)
 from .ring import ContractViolation
 
 
@@ -67,18 +67,17 @@ class EPoly:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, coeffs: dict[Partition, int] | None = None):
-        if type(n) is not int or n < 0:
-            raise ValueError(f"variable count n must be an int >= 0: n={n!r}")
+        sizes(n=n)
         self.n = n
         terms: dict[int, int] = {}
         for lam, c in (coeffs or {}).items():
             if type(c) is not int:
                 raise ValueError(f"coefficient of e{lam!r} must be an int: c={c!r}")
+            lam = partition(lam)
+            if lam and lam[0] > n:
+                raise ValueError(f"key {lam} has a part above n={n}")
+            key = _key(lam, n)
             if c:
-                lam = partition(lam)
-                if lam and lam[0] > n:
-                    raise ValueError(f"key {lam} has a part above n={n}")
-                key = _key(lam, n)
                 terms[key] = terms.get(key, 0) + c
         self.terms = {k: c for k, c in terms.items() if c}
 
@@ -93,15 +92,15 @@ class EPoly:
 
     @classmethod
     def monomial(cls, n: int, lam, coeff: int = 1) -> "EPoly":
-        return cls(n, {partition(lam): coeff})
+        return cls(n, {tuple(lam): coeff})
 
     @classmethod
     def zero(cls, n: int) -> "EPoly":
-        return cls._of(n, {})
+        return cls(n)
 
     @classmethod
     def one(cls, n: int) -> "EPoly":
-        return cls._of(n, {0: 1})
+        return cls(n, {(): 1})
 
     @property
     def coeffs(self) -> dict[Partition, int]:
@@ -188,6 +187,7 @@ def qtilde_epoly(lam, n: int) -> EPoly:
     first position and an even run cancels; the ungrouped expansion
     :func:`qtilde_pfaffian_first_row` is the check.
     """
+    sizes(n=n)
     return _qtilde(partition(lam), n)
 
 
@@ -215,6 +215,7 @@ def _qtilde(lam: Partition, n: int) -> EPoly:
 def qtilde_pfaffian_first_row(lam, n: int) -> EPoly:
     """Same Pfaffian expanded along pairs containing the first entry, to
     cross-check that different Laplace expansions agree."""
+    sizes(n=n)
     return _pfaffian_first_row(partition(lam), n)
 
 
@@ -256,6 +257,7 @@ def expand_in_qtilde(f: EPoly, n: int) -> dict[Partition, int]:
     residual can only come from the basis element with that index, so only
     the rows the residual reaches are read.
     """
+    sizes(n=n)
     if f.n != n:
         raise ValueError("element lives in a different variable count")
     f.homogeneous_weight()
@@ -287,6 +289,7 @@ def qtilde_structure(lam, mu, n: int) -> dict[Partition, int]:
 
 
 def _checked(lam, mu, n: int) -> tuple[Partition, Partition]:
+    sizes(n=n)
     lam, mu = partition(lam), partition(mu)
     if (lam and lam[0] > n) or (mu and mu[0] > n):
         raise ValueError(f"parts must be at most n={n}")
@@ -332,10 +335,11 @@ def qtilde_pieri(lam, p: int, n: int) -> dict[Partition, int]:
     strict) obtained by adding p boxes, no two in one column, where N
     counts the components of mu/lam avoiding the first column.
     """
+    sizes(p=p, n=n)
     lam = partition(lam)
     if not is_strict(lam):
         raise ValueError(f"{lam} is not strict")
-    if not 0 <= p <= n:
+    if p > n:
         raise ValueError(f"p={p} out of range 0..{n}")
     return _pieri(lam, p, n)
 

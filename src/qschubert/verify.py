@@ -7,8 +7,9 @@ Pfaffian-polynomial basis, and symmetry of the invariants) over an
 exhaustive grid bounded by the given size limits.  Graded triples, on
 G(m, N), LG or OG, come from one walk (:func:`_graded`), and every S3
 check is :func:`_check_s3`; the duality suite and the 1-step puzzle
-block keep their whole grids, because their zeros are checks too.  The
-puzzle suite makes them in one comparison per (lam, mu) row
+board keep their whole grids, because their zeros are checks too.  The
+puzzle suite loops over one board per puzzle kind and degree of each
+G(m, N) and makes each (lam, mu) row's checks in one comparison
 (:func:`_compare_puzzles`): a class missing on both sides is a zero that
 agrees.  Every suite refuses a size bound that is not an int
 (:func:`_bound`).
@@ -92,31 +93,30 @@ def _check_s3(report: Report, space: Space, graded):
                 _note(report, f"S3 fails on {space.label} d={d} {lam},{mu},{nu}")
 
 
-def _compare_puzzles(report: Report, space: Space, kind: str, d: int, words: dict,
-                     keys: dict, duals: dict, class_at_key: dict, class_at_dual: dict,
-                     lam: Partition, rows: list, products):
+def _compare_puzzles(report: Report, space: Space, board: tuple, lam: Partition,
+                     rows: list, products):
     """Check every (mu, nu) of ``rows``, pairs (mu, nus), off one puzzle walk
-    from lam's word over the words of the mus, against the product coeffs
-    of each (lam, mu).
+    on a board ``(kind, d, words, duals)`` from lam's word over the words of
+    the mus, against the product coeffs of each (lam, mu).
 
-    ``class_at_key`` and ``class_at_dual`` invert ``keys`` and ``duals``, which
-    are injective on classes.  A row whose counts at class words (glue words
-    dropped) equal its degree-d coefficients, both keyed by nu, passes
-    len(nus) checks at once: every nu, zeros included, has count ==
-    coefficient.  Any other row is read nu by nu, in order, for its failure
-    messages.
+    ``duals`` maps each packed class word to the dual of its class.  A row
+    whose counts at class words (glue words dropped) equal its degree-d
+    coefficients, both keyed by the dual of nu, passes len(nus) checks at
+    once: every nu, zeros included, has count == coefficient.  Any other row
+    is read nu by nu, in order, for its failure messages.
     """
+    kind, d, words, duals = board
     counts = puzzle.counts_by_ne(words[lam], [words[mu] for mu, _ in rows], kind)
     for mu, nus in rows:
         south, coeffs = counts[words[mu]], products(lam, mu)
-        found = {class_at_key[w]: c for w, c in south.items() if w in class_at_key}
-        due = {class_at_dual[x]: c for (x, e), c in coeffs.items() if e == d}
-        if found == due:
+        found = {duals[w]: c for w, c in south.items() if w in duals}
+        if found == {x: c for (x, e), c in coeffs.items() if e == d}:
             report.checked += len(nus)
             continue
         for nu in nus:
             # the product is graded, so a nu of the wrong weight reads 0 there too
-            got, want = south.get(keys[nu], 0), coeffs.get((duals[nu], d), 0)
+            got = south.get(puzzle.pack(words[nu]), 0)
+            want = coeffs.get((space.dual(nu), d), 0)
             report.checked += 1
             if got != want:
                 _note(report, f"{kind} {space.label} d={d} {lam},{mu},{nu}: "
@@ -131,13 +131,11 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     must equal the quantum-product coefficient.  For N <= _MAX_CLASSICAL_N
     the classical 1-step count is additionally compared on all ordered
     triples, including degree-mismatched ones (both sides zero).  Each
-    (kind, d, lam) takes one puzzle walk with the south side free over the
-    words of its mus (:func:`puzzle.counts_by_ne`), read at each nu's word
-    packed once per (space, d); each (lam, mu) takes one product, which the
-    1-step walk and every degree read.  Every nu is one check, in the order
-    of (mu, nu); a (lam, mu) row is compared whole, on its nonzero entries
-    by class, and read nu by nu only where it differs
-    (:func:`_compare_puzzles`).
+    space has one board per puzzle kind and degree, the 1-step one first.
+    Each (board, lam) takes one walk, south side free, over the words of
+    its mus (:func:`puzzle.counts_by_ne`), and each (lam, mu) one product,
+    which every board reads.  Every nu is one check, in the order of
+    (mu, nu) (:func:`_compare_puzzles`).
     """
     _bound("max_N", max_N)
     report = Report(ok=True)
@@ -147,24 +145,20 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
             space = Space(A, m, n)
             products = lru_cache(maxsize=None)(partial(ring.PRODUCT[A], space))
             classes = partitions_in_box(m, n)
-            duals = {lam: space.dual(lam) for lam in classes}
-            class_at_dual = {x: lam for lam, x in duals.items()}
+            boards = [("2step", d, {lam: word_jd(lam, m, n, d) for lam in classes})
+                      for d in range(min(m, n) + 1)]
             if N <= _MAX_CLASSICAL_N:
-                words = {lam: word_01(lam, m, n) for lam in classes}
-                keys = {lam: puzzle.pack(w) for lam, w in words.items()}
-                class_at_key = {k: lam for lam, k in keys.items()}
-                rows = [(mu, classes) for mu in classes]
-                for lam in classes:
-                    _compare_puzzles(report, space, "1step", 0, words, keys, duals,
-                                     class_at_key, class_at_dual, lam, rows, products)
-            jd = [{lam: word_jd(lam, m, n, d) for lam in classes} for d in range(min(m, n) + 1)]
-            jd_keys = [{lam: puzzle.pack(w) for lam, w in words.items()} for words in jd]
-            jd_classes = [{k: lam for lam, k in keys.items()} for keys in jd_keys]
-            graded = _graded(space, classes, range(min(m, n) + 1))
-            for (d, lam), group in groupby(graded, key=itemgetter(0, 1)):
-                _compare_puzzles(report, space, "2step", d, jd[d], jd_keys[d], duals,
-                                 jd_classes[d], class_at_dual, lam,
-                                 [(mu, nus) for _, _, mu, nus in group], products)
+                boards.insert(0, ("1step", 0, {lam: word_01(lam, m, n) for lam in classes}))
+            for kind, d, words in boards:
+                duals = {puzzle.pack(w): space.dual(lam) for lam, w in words.items()}
+                if kind == "1step":  # every ordered triple, zeros included
+                    whole = [(mu, classes) for mu in classes]
+                    lams = ((lam, whole) for lam in classes)
+                else:
+                    lams = ((lam, [(mu, nus) for _, _, mu, nus in group]) for lam, group
+                            in groupby(_graded(space, classes, (d,)), key=itemgetter(1)))
+                for lam, rows in lams:
+                    _compare_puzzles(report, space, (kind, d, words, duals), lam, rows, products)
     return report
 
 

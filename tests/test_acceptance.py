@@ -72,6 +72,7 @@ def test_criterion_07_puzzle_conjecture_cross_check():
     t0 = time.monotonic()
     report = verify.suite_puzzle_conjecture(max_N=8)
     assert report.ok, report.failures
+    assert report.checked == 970916
     _pass(7, f"puzzle counts equal Pieri-route invariants ({report.checked} triples)",
           t0, 1800.0)
 

@@ -121,6 +121,7 @@ ENTRY_POINTS = [
     ("QHElement", lambda lam: qschubert.QHElement(2, 2, {(lam, 0): 1}), (3,)),
     ("IsoQHElement", lambda lam: qschubert.IsoQHElement("OG", 2, {(lam, 0): 1}), (2, 2)),
     ("EPoly", lambda lam: EPoly(2, {lam: 1}), (3,)),
+    ("EPoly-zero-coefficient", lambda lam: EPoly(2, {lam: 0}), (3,)),
     ("EPoly.monomial", lambda lam: EPoly.monomial(2, lam), (3, 1)),
     ("qtilde_epoly", lambda lam: qschubert.qtilde_epoly(lam, 2), None),
     ("qtilde_structure", lambda lam: qschubert.qtilde_structure((1,), lam, 2), (3,)),
@@ -150,8 +151,35 @@ def test_entry_points_reject_bad_partitions(call, bad):
     lambda: qschubert.quantum_pieri_a((1,), 1, 2, 2.0),
     lambda: qschubert.QHElement(2.0, 2, {((1,), 0): 1}),
     lambda: qschubert.quantum_product_og((1,), (1,), True),
+    lambda: qschubert.hat_map((1,), 2.0),
+    lambda: qschubert.strict_dual((), -1),
+    lambda: qschubert.rect_dual((1,), True, 2),
+    lambda: qschubert.jd_string((1,), True, 2, 0),
+    lambda: qschubert.to_01_string((1,), 2.0, 2),
+    lambda: qschubert.grassmann_permutation((1,), 2, 2.0),
+    lambda: qschubert.from_01_string("0101", 2.0),
+    lambda: qschubert.string012_to_permutation("012", 1, True),
+    lambda: qschubert.string012_to_permutation("012", -1, 2),
+    lambda: qschubert.remove_columns((1,), True),
+    lambda: qschubert.qtilde_epoly((1,), 2.0),
+    lambda: qschubert.qtilde_epoly((1,), -1),
+    lambda: qschubert.qtilde_structure((1,), (1,), 2.0),
+    lambda: qschubert.ptilde_structure((1,), (1,), True),
+    lambda: qschubert.qtilde_pieri((1,), 1.0, 2),
+    lambda: qschubert.qtilde_pieri((1,), True, 2),
+    lambda: qschubert.qtilde_pieri((1,), 1, -1),
+    lambda: qschubert.expand_in_qtilde(EPoly.monomial(2, (1,)), 2.0),
+    lambda: EPoly.zero(2.0),
+    lambda: EPoly.one(-1),
 ], ids=["quantum_product_a", "quantum_product_lg", "quantum_pieri_a", "QHElement",
-        "quantum_product_og-bool"])
+        "quantum_product_og-bool", "hat_map-float", "strict_dual-negative",
+        "rect_dual-bool", "jd_string-bool", "to_01_string-float",
+        "grassmann_permutation-float", "from_01_string-float",
+        "string012_to_permutation-bool", "string012_to_permutation-negative",
+        "remove_columns-bool", "qtilde_epoly-float", "qtilde_epoly-negative",
+        "qtilde_structure-float", "ptilde_structure-bool", "qtilde_pieri-p-float",
+        "qtilde_pieri-p-bool", "qtilde_pieri-n-negative", "expand_in_qtilde-float",
+        "EPoly.zero-float", "EPoly.one-negative"])
 def test_entry_points_reject_sizes_that_are_not_ints(call):
     with pytest.raises(ValueError, match="ints"):
         call()

@@ -13,7 +13,6 @@ partitions = st.lists(st.integers(min_value=1, max_value=7), max_size=6).map(
 def test_partition_canonical_form():
     assert C.partition([2, 1, 0, 0]) == (2, 1)
     assert C.partition([]) == ()
-    assert C.weight((3, 2)) == 5 and C.length((3, 2)) == 2
     assert C.is_strict(()) and C.is_strict((3, 1)) and not C.is_strict((2, 2))
     with pytest.raises(ValueError):
         C.partition([1, 2])

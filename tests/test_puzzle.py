@@ -221,7 +221,7 @@ def test_the_walker_equals_a_walk_per_pair_on_every_space():
             for ne in words:
                 want = _pair_walk(nw, ne, kind)[-1]
                 assert counts[ne] == want, (kind, nw, ne)
-                assert P.packed_counts(nw, ne, kind) == want, (kind, nw, ne)
+                assert P.counts_by_ne(nw, [ne], kind)[ne] == want, (kind, nw, ne)
                 pairs += 1
     assert pairs == 5296
 

@@ -74,6 +74,11 @@ def test_qtilde_suite_canonicalises_no_partition(canonicalised):
     assert canonicalised == []
 
 
+def test_epoly_monomial_canonicalises_its_partition_once(canonicalised):
+    assert qpoly.EPoly.monomial(3, [2, 1]).coeffs == {(2, 1): 1}
+    assert canonicalised == [(2, 1)]
+
+
 def test_ptilde_structure_canonicalises_each_argument_once(canonicalised):
     assert qpoly.ptilde_structure([2, 1], [1], 3) == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
     assert canonicalised == [[2, 1], [1]]
