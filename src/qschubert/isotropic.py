@@ -314,3 +314,4 @@ for _kind, _pieri, _giambelli, _product in ((LG, _pieri_lg, _giambelli_lg, _prod
     ring.GIAMBELLI[_kind] = _giambelli
     ring.ROUTES[_kind] = {"qtilde": _unordered(_product), "pieri": ring.giambelli_fold}
     ring.PRODUCT[_kind] = ring.ROUTES[_kind]["qtilde"]
+del _kind, _pieri, _giambelli, _product

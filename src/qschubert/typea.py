@@ -25,12 +25,13 @@ Postnikov).
 This module holds what is particular to G(m, N): the quantum Pieri rule,
 the production product (the pair of the rotation orbit whose expanded
 factor is cheapest, its determinant Laplace-expanded row by row, one
-memo entry per unordered pair, reading one Pieri table per class that
-holds s[lam] * s[p] for every p), its oracle (the determinant's monomials
-folded one by one by ``ring.giambelli_fold`` through the per-p Pieri map,
-which is built apart from the tables), the puzzle route and the
-presentation.  The element class, the fold and the checked product and
-invariant, which each public function here calls, are in :mod:`qschubert.ring`.
+memo entry per unordered pair, reading one Pieri table per class, one
+array holding s[lam] * s[p] for every p, row after row), its oracle (the
+determinant's monomials folded one by one by ``ring.giambelli_fold``
+through the per-p Pieri map, which is built apart from the tables), the
+puzzle route and the presentation.  The element class, the fold and the
+checked product and invariant, which each public function here calls, are
+in :mod:`qschubert.ring`.
 
 Inside the production product a class is one integer key: its 01-word
 (part lam_i of row i = 0..m-1 sets bit lam_i + m-1-i, the zero rows the
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache, partial
-from itertools import product
+from itertools import accumulate, chain, product
 from typing import NamedTuple
 
 from . import ring
@@ -83,7 +84,8 @@ def _layout(space: Space):
     i = 0..m-1 setting bit lam_i + m-1-i, above a low field of ``shift`` bits
     that holds |lam|.  Those bits differ row by row, so adding the keys of
     the m rows, ``digits[i][lam_i]`` = (1 << lam_i + m-1-i) << shift | lam_i,
-    builds both fields.  Table rows are 8-byte words while keys fit."""
+    builds both fields.  A Pieri table is one array of 8-byte words while
+    keys fit, and a tuple past that."""
     m, n = space.m, space.n
     shift = (m * n).bit_length()
     return shift, tuple(tuple((1 << x + m - 1 - i) << shift | x for x in range(n + 1))
@@ -122,9 +124,14 @@ def _pieri_table(space: Space, key: int):
     its key, every coefficient 1: one pass over the horizontal strips added
     inside the box and, for a full-length lam, one over the strips removed
     from lam minus its first column.  A key's low field gives its p, and its
-    degree is left to the grading: |nu| = |lam| + p - d * N."""
+    degree is left to the grading: |nu| = |lam| + p - d * N.
+
+    The table is one sequence of the layout's type: n + 2 row ends, then
+    the keys of rows 0..n in order, so that row p (:func:`_row`) is
+    ``table[table[p]:table[p + 1]]``.  One array per class, not one per
+    row, keeps the largest memo small."""
     m, n = space.m, space.n
-    shift, digits, row = _layout(space)
+    shift, digits, sequence = _layout(space)
     mask = (1 << shift) - 1
     base, lam = key & mask, _partition(m, key >> shift)
     lam += (0,) * (m - len(lam))
@@ -137,7 +144,12 @@ def _pieri_table(space: Space, key: int):
         for kappa in map(sum, product(*(d[lo - 1:hi] for d, lo, hi
                                         in zip(digits, lam[1:] + (1,), lam)))):
             rows[(kappa & mask) - base + m + n].append(kappa)
-    return tuple(map(row, rows))
+    return sequence([*accumulate(map(len, rows), initial=n + 2), *chain.from_iterable(rows)])
+
+
+def _row(table, p: int):
+    """Row p of a Pieri table: the keys of s[lam] * s[p]."""
+    return table[table[p]:table[p + 1]]
 
 
 def quantum_pieri_a(lam, p: int, m: int, n: int) -> Element:
@@ -257,7 +269,9 @@ def _laplace_product(space: Space, lam: Partition, rows: tuple[int, ...]) -> dic
 
     After r rows there is one state per set of used columns, s[lam] times
     that r x r minor; equal sets merge, so k rows cost at most 2^k states,
-    not k! monomials.  Entries outside 0..n are zero and s[0] is one.
+    not k! monomials.  Entries outside 0..n are zero and s[0] is one.  Each
+    state's class nu times s[p] is row p of nu's Pieri table, read by
+    :func:`_row`.
     """
     n, k = space.n, len(rows)
     # row i takes columns low_i..low_i + n; both ends grow with i, so a state
@@ -279,7 +293,7 @@ def _laplace_product(space: Space, lam: Partition, rows: tuple[int, ...]) -> dic
                 table = _pieri_table(space, nu)
                 for target, sign, p in moves:
                     c_signed = sign * c
-                    for kappa in table[p]:
+                    for kappa in _row(table, p):
                         target[kappa] = target.get(kappa, 0) + c_signed
         states = {new: {key: c for key, c in elem.items() if c} for new, elem in grown.items()}
     weight = sum(lam) + sum(rows)

@@ -6,13 +6,17 @@ import sys
 from qschubert import cli, isotropic, puzzle, qpoly, ring, typea  # noqa: F401  (load every module)
 
 
+def _modules():
+    return [module for name, module in list(sys.modules.items())
+            if module is not None and name.split(".")[0] == "qschubert"]
+
+
 def _lru_caches():
     found = {}
-    for name, module in list(sys.modules.items()):
-        if module is not None and name.split(".")[0] == "qschubert":
-            for value in vars(module).values():
-                if hasattr(value, "cache_info"):
-                    found[f"{value.__module__}.{value.__qualname__}"] = value
+    for module in _modules():
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                found[f"{value.__module__}.{value.__qualname__}"] = value
     return found
 
 
@@ -33,6 +37,16 @@ def test_clear_caches_empties_every_lru_cache():
     assert {name for name, fn in caches.items() if not fn.cache_info().currsize} == set()
     typea.clear_caches()
     assert {name for name, fn in caches.items() if fn.cache_info().currsize} == set()
+
+
+def test_no_module_binds_one_lru_cache_under_two_names():
+    """A second name would list, count and report one memo twice."""
+    for module in _modules():
+        names = {}
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                names.setdefault(id(value), []).append(attr)
+        assert [attrs for attrs in names.values() if len(attrs) > 1] == [], module.__name__
 
 
 def test_every_module_shares_one_clear_caches():

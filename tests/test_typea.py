@@ -5,6 +5,7 @@ import math
 import pathlib
 import time
 import warnings
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -325,17 +326,19 @@ def test_production_product_equals_the_fold_past_n8(case):
 def test_pieri_table_equals_the_per_p_maps():
     """Each class's table against the per-p Pieri map, the fold's rule, for
     every p on every G(m, N) with N <= 10, the point spaces m = 0 and
-    m = N included: each row's keys decode to the map's classes, with the
-    degree read off the grading |lam| + p."""
+    m = N included: each row, read as the product reads it, has keys that
+    decode to the map's classes, with the degree read off the grading
+    |lam| + p.  A table is one array: n + 2 row ends, then the rows."""
     pairs = 0
     for N in range(11):
         for m in range(N + 1):
             space = ring.Space(ring.A, m, N - m)
             for lam in C.partitions_in_box(m, N - m):
                 table = A._pieri_table(space, A._key(space, lam))
-                assert len(table) == N - m + 1
-                for p, row in enumerate(table):
-                    want = A._pieri_map(space, lam, p)
+                assert type(table) is array and table.typecode == "q"
+                assert (table[0], table[N - m + 1]) == (N - m + 2, len(table))
+                for p in range(N - m + 1):
+                    row, want = A._row(table, p), A._pieri_map(space, lam, p)
                     if not N:
                         # q has degree 0 on the point G(0, 0): s[0] * s[] = s[] + q*s[]
                         # is one key twice, which the grading cannot tell apart
@@ -350,6 +353,23 @@ def test_pieri_table_equals_the_per_p_maps():
     assert pairs == 11_264
 
 
+def test_a_table_with_row_ends_one_key_off_fails_the_fold(fresh_caches, monkeypatch):
+    """Planted fault: tables whose first row ends one key late (row 0 takes
+    row 1's first key) make the product differ from the fold on G(2, 5)."""
+    build = A._pieri_table.__wrapped__
+
+    def one_key_off(space, key):
+        table = build(space, key)
+        table[1] += 1
+        return table
+
+    monkeypatch.setattr(A, "_pieri_table", one_key_off)
+    space = ring.Space(ring.A, 2, 3)
+    classes = C.partitions_in_box(2, 3)
+    assert any(ring.PRODUCT[ring.A](space, lam, mu) != ring.giambelli_fold(space, lam, mu)
+               for lam, mu in itertools.product(classes, repeat=2))
+
+
 @pytest.mark.parametrize("m", [14, 26, 27])
 def test_wide_keys_match_the_fold(m):
     """On G(m, 2m) a key outgrows a machine word from m = 27 on (m = 26 still
@@ -357,6 +377,7 @@ def test_wide_keys_match_the_fold(m):
     classes against the fold on the conjugate side, where s[1^m] is one row."""
     space = ring.Space(ring.A, m, m)
     assert (A._layout(space)[2] is tuple) == (m > 26)
+    assert type(A._pieri_table(space, A._key(space, (1,)))) is (tuple if m > 26 else array)
     ones = (1,) * m
     assert A.quantum_product_a(ones, (1,), m, m).coeffs == ring.giambelli_fold(space, ones, (1,))
     hook = (m,) + (1,) * (m - 1)  # self-conjugate
