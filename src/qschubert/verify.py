@@ -13,10 +13,26 @@ G(m, N) and makes each (lam, mu) row's checks in one comparison
 (:func:`_compare_puzzles`): a class missing on both sides is a zero that
 agrees.  Every suite refuses a size bound that is not an int
 (:func:`_bound`).
+
+The puzzle and symmetry suites map one function per space over their
+spaces with :func:`_over`, which uses every CPU in
+``os.sched_getaffinity(0)``: the calling process and one forked worker
+per further CPU, their reports merged in space order, so checks, failure
+messages and the five-failure cap are those of the serial loop.  Under
+``taskset -c 0`` (one CPU) nothing is forked.  Peak RSS is per process,
+so the caller's ``ru_maxrss`` covers its own share only, and after a
+parallel run the caller's memos (``cache_info()``) and any wrapper it
+installed have seen its share only: per-layer counts need a one-CPU run.
+The other suites run in-process (about 0.01 s each at their acceptance
+bounds).
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from functools import lru_cache, partial
 from itertools import combinations, groupby, permutations, product
 from operator import itemgetter
@@ -24,7 +40,7 @@ from operator import itemgetter
 from . import isotropic, puzzle, qpoly, ring, typea
 from .combinat import (Partition, partitions_in_box, partitions_with_parts_at_most,
                        strict_partitions_max, word_01, word_jd)
-from .ring import A, LG, OG, Report, Space
+from .ring import A, LG, OG, ContractViolation, Report, Space
 
 _MAX_FAILURES = 5
 # G(m, N) up to this N also get the classical 1-step puzzle check
@@ -41,6 +57,103 @@ def _absorb(report: Report, sub: Report):
     report.checked += sub.checked
     for f in sub.failures:
         _note(report, f)
+
+
+def _merged(reports) -> Report:
+    """One report of several, in order: the first failures of the first
+    reports, up to _MAX_FAILURES in all."""
+    report = Report(ok=True)
+    for sub in reports:
+        _absorb(report, sub)
+    return report
+
+
+def _share(check, items) -> tuple[list, Exception | None]:
+    """check(x) for the items in order, up to the first that raises: the
+    results, and that exception or None."""
+    done = []
+    try:
+        for x in items:
+            done.append(check(x))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _worker(check, items, write):
+    """A forked worker's whole life: send :func:`_share`'s result down the
+    pipe, then ``os._exit``, with status 1 if it could not."""
+    code = 1
+    try:
+        with open(write, "wb") as out:
+            out.write(pickle.dumps(_share(check, items)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _over(check, items) -> list:
+    """``[check(x) for x in items]``, on every CPU this process may use.
+
+    The items are dealt round-robin to one share per CPU in
+    ``os.sched_getaffinity(0)``, and no more shares than items.  The parent
+    computes the first share, and one forked worker each of the others
+    (:func:`_worker`); if a fork fails, the parent computes the shares
+    left.  The results come back in item order, and what raises is what
+    the serial loop would raise: the exception of the first item in order
+    that raised, whichever share it fell to (a worker's comes back
+    unpickled, with its type and message).  A worker that exits without
+    sending its results is a :class:`ContractViolation` naming its exit
+    status.  Every worker is reaped, and killed first if the parent
+    raises, before this returns or raises.  With one CPU, without
+    ``os.fork`` or ``os.sched_getaffinity``, or with another thread
+    running, the loop runs here and nothing is forked.
+    """
+    items = list(items)
+    affinity = getattr(os, "sched_getaffinity", None)
+    shares = min(len(affinity(0)), len(items)) if affinity else 1
+    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [check(x) for x in items]
+    workers = []  # (pid, read end of its pipe) of shares 1, 2, ... in turn
+    try:
+        for j in range(1, shares):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent keeps the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _worker(check, items[j::shares], write)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        kept = [0, *range(len(workers) + 1, shares)]
+        mine = [_share(check, items[j::shares]) for j in kept]
+        sent = [(pid, pipe.read()) for pid, pipe in workers]
+    except BaseException:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, pipe in workers:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    outs = mine[:1]
+    for (pid, data), status in zip(sent, statuses):
+        if status != 0 or not data:
+            raise ContractViolation(f"verify worker {pid} exited with status {status} "
+                                    "without sending its results")
+        outs.append(pickle.loads(data))
+    outs += mine[1:]
+    results = []
+    for i in range(len(items)):
+        done, exc = outs[i % shares]
+        if i // shares == len(done):
+            raise exc
+        results.append(done[i // shares])
+    return results
 
 
 def _bound(name: str, value):
@@ -123,6 +236,30 @@ def _compare_puzzles(report: Report, space: Space, board: tuple, lam: Partition,
                               f"puzzle {got} != {want}")
 
 
+def _puzzle_space(space: Space) -> Report:
+    """The puzzle suite's checks on one G(m, N): one board per puzzle kind
+    and degree, the 1-step one first."""
+    m, n = space.m, space.n
+    report = Report(ok=True)
+    products = lru_cache(maxsize=None)(partial(ring.PRODUCT[A], space))
+    classes = partitions_in_box(m, n)
+    boards = [("2step", d, {lam: word_jd(lam, m, n, d) for lam in classes})
+              for d in range(min(m, n) + 1)]
+    if m + n <= _MAX_CLASSICAL_N:
+        boards.insert(0, ("1step", 0, {lam: word_01(lam, m, n) for lam in classes}))
+    for kind, d, words in boards:
+        duals = {puzzle.pack(w): space.dual(lam) for lam, w in words.items()}
+        if kind == "1step":  # every ordered triple, zeros included
+            whole = [(mu, classes) for mu in classes]
+            lams = ((lam, whole) for lam in classes)
+        else:
+            lams = ((lam, [(mu, nus) for _, _, mu, nus in group]) for lam, group
+                    in groupby(_graded(space, classes, (d,)), key=itemgetter(1)))
+        for lam, rows in lams:
+            _compare_puzzles(report, space, (kind, d, words, duals), lam, rows, products)
+    return report
+
+
 def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     """Puzzle counts versus the production product.
 
@@ -131,35 +268,16 @@ def suite_puzzle_conjecture(max_N: int = 8) -> Report:
     must equal the quantum-product coefficient.  For N <= _MAX_CLASSICAL_N
     the classical 1-step count is additionally compared on all ordered
     triples, including degree-mismatched ones (both sides zero).  Each
-    space has one board per puzzle kind and degree, the 1-step one first.
+    space has one board per puzzle kind and degree, the 1-step one first
+    (:func:`_puzzle_space`, one space per item of :func:`_over`).
     Each (board, lam) takes one walk, south side free, over the words of
     its mus (:func:`puzzle.counts_by_ne`), and each (lam, mu) one product,
     which every board reads.  Every nu is one check, in the order of
     (mu, nu) (:func:`_compare_puzzles`).
     """
     _bound("max_N", max_N)
-    report = Report(ok=True)
-    for N in range(2, max_N + 1):
-        for m in range(1, N):
-            n = N - m
-            space = Space(A, m, n)
-            products = lru_cache(maxsize=None)(partial(ring.PRODUCT[A], space))
-            classes = partitions_in_box(m, n)
-            boards = [("2step", d, {lam: word_jd(lam, m, n, d) for lam in classes})
-                      for d in range(min(m, n) + 1)]
-            if N <= _MAX_CLASSICAL_N:
-                boards.insert(0, ("1step", 0, {lam: word_01(lam, m, n) for lam in classes}))
-            for kind, d, words in boards:
-                duals = {puzzle.pack(w): space.dual(lam) for lam, w in words.items()}
-                if kind == "1step":  # every ordered triple, zeros included
-                    whole = [(mu, classes) for mu in classes]
-                    lams = ((lam, whole) for lam in classes)
-                else:
-                    lams = ((lam, [(mu, nus) for _, _, mu, nus in group]) for lam, group
-                            in groupby(_graded(space, classes, (d,)), key=itemgetter(1)))
-                for lam, rows in lams:
-                    _compare_puzzles(report, space, (kind, d, words, duals), lam, rows, products)
-    return report
+    spaces = [Space(A, m, N - m) for N in range(2, max_N + 1) for m in range(1, N)]
+    return _merged(_over(_puzzle_space, spaces))
 
 
 def suite_duality(max_n: int = 4) -> Report:
@@ -300,41 +418,47 @@ def _shift(coeffs: dict, e: int) -> dict:
     return {(nu, d + e): c for (nu, d), c in coeffs.items()}
 
 
+def _symmetry_space(space: Space) -> Report:
+    """The symmetry suite's checks on one space: on G(m, N) commutativity
+    and the rotation identity of every ordered pair, then S3 on every
+    graded triple; on LG and OG, S3 alone."""
+    report = Report(ok=True)
+    if space.kind != A:
+        classes = strict_partitions_max(space.n)
+        # three classes weigh at most 3 * dim, so no graded triple is missed
+        _check_s3(report, space,
+                  _graded(space, classes, range(2 * space.dim // space.q_degree + 1)))
+        return report
+    classes = partitions_in_box(space.m, space.n)
+    # s[n] * s[lam] = q^d s[nu] as lam -> (nu, d), and its inverse
+    rotated = {lam: next(iter(space.pieri(lam, space.n))) for lam in classes}
+    unrotated = {nu: (lam, d) for lam, (nu, d) in rotated.items()}
+    for lam in classes:
+        for mu in classes:
+            report.checked += 2
+            folded = ring.giambelli_fold(space, lam, mu)
+            if folded != ring.giambelli_fold(space, mu, lam):
+                _note(report, f"commutativity fails for {lam},{mu} on {space.label}")
+            (lam1, d1), (mu1, d2) = rotated[lam], unrotated[mu]
+            if _shift(folded, d2) != _shift(ring.giambelli_fold(space, lam1, mu1), d1):
+                _note(report, f"rotation fails for {lam},{mu} on {space.label}")
+    _check_s3(report, space, _graded(space, classes, range(min(space.m, space.n) + 1)))
+    return report
+
+
 def suite_symmetry(max_N: int = 7, max_n: int = 4) -> Report:
     """Invariance of the three invariant flavors under permuting their
     arguments, and, under the fold-the-second-factor route, commutativity
     of the type A product and its rotation identity: s[n] * s[lam] is one
     term q^d1 s[lam'] (the quantum Pieri rule) and s[n] * s[mu'] = q^d2
-    s[mu] for one mu', so q^d2 lam * mu = q^d1 lam' * mu'."""
+    s[mu] for one mu', so q^d2 lam * mu = q^d1 lam' * mu'.  Every G(m, N)
+    comes first, then LG and OG for each n (:func:`_symmetry_space`, one
+    space per item of :func:`_over`)."""
     _bound("max_N", max_N)
     _bound("max_n", max_n)
-    report = Report(ok=True)
-    for N in range(2, max_N + 1):
-        for m in range(1, N):
-            n = N - m
-            space = Space(A, m, n)
-            classes = partitions_in_box(m, n)
-            # s[n] * s[lam] = q^d s[nu] as lam -> (nu, d), and its inverse
-            rotated = {lam: next(iter(space.pieri(lam, n))) for lam in classes}
-            unrotated = {nu: (lam, d) for lam, (nu, d) in rotated.items()}
-            for lam in classes:
-                for mu in classes:
-                    report.checked += 2
-                    folded = ring.giambelli_fold(space, lam, mu)
-                    if folded != ring.giambelli_fold(space, mu, lam):
-                        _note(report, f"commutativity fails for {lam},{mu} on {space.label}")
-                    (lam1, d1), (mu1, d2) = rotated[lam], unrotated[mu]
-                    if _shift(folded, d2) != _shift(ring.giambelli_fold(space, lam1, mu1), d1):
-                        _note(report, f"rotation fails for {lam},{mu} on {space.label}")
-            _check_s3(report, space, _graded(space, classes, range(min(m, n) + 1)))
-    for n in range(1, max_n + 1):
-        classes = strict_partitions_max(n)
-        for kind in (LG, OG):
-            space = Space(kind, None, n)
-            # three classes weigh at most 3 * dim, so no graded triple is missed
-            _check_s3(report, space,
-                      _graded(space, classes, range(2 * space.dim // space.q_degree + 1)))
-    return report
+    spaces = [Space(A, m, N - m) for N in range(2, max_N + 1) for m in range(1, N)]
+    spaces += [Space(kind, None, n) for n in range(1, max_n + 1) for kind in (LG, OG)]
+    return _merged(_over(_symmetry_space, spaces))
 
 
 SUITES = {

@@ -3,6 +3,7 @@ every public entry point applies to caller-supplied partitions, and the
 names the benchmark harness binds."""
 
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,22 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, str(selftest)], capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["verify-grid", "typea-products", "iso-products"])
+def test_a_benchmark_repetition_passes_its_gate(workload):
+    # one repetition as the benchmark runs it, with the correctness gate that
+    # follows it; a gate that calls a deleted function exits nonzero here
+    child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spec = json.dumps({"mode": "rep", "workload": workload, "seed": 1, "trace": False})
+    done = subprocess.run([sys.executable, str(child), spec], capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    marks = [line for line in done.stderr.splitlines() if line.startswith("BENCH-CHILD ")]
+    assert len(marks) == 1, done.stderr[-2000:]
+    record = json.loads(marks[0].removeprefix("BENCH-CHILD "))
+    assert (record["failed"], record["errors"]) == (0, [])
+    assert record["attempted"] == record["ops"] > 0
 
 
 @pytest.mark.parametrize("make", [

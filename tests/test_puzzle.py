@@ -1,3 +1,4 @@
+import os
 import random
 from collections import defaultdict
 from functools import lru_cache
@@ -140,6 +141,8 @@ def test_every_row_the_puzzle_suite_reads_equals_a_cell_walk(monkeypatch):
 
     P.clear_caches()  # before the patch, so that every row recurses through it
     monkeypatch.setattr(P, "_row_fillings", recording)
+    # one CPU: a forked worker's calls would not reach this recorder
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     try:
         assert verify.suite_puzzle_conjecture(max_N=6).ok
     finally:

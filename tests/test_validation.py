@@ -2,6 +2,7 @@
 argument exactly once, and the engine's own loops check nothing."""
 
 import inspect
+import os
 import re
 import sys
 from itertools import product
@@ -29,7 +30,9 @@ def checked(monkeypatch):
     lambda: verify.suite_puzzle_conjecture(max_N=5),
     lambda: verify.suite_symmetry(max_N=4, max_n=2),
 ], ids=["puzzle-conjecture", "symmetry"])
-def test_suites_check_no_partition(checked, suite):
+def test_suites_check_no_partition(monkeypatch, checked, suite):
+    # one CPU: a forked worker's calls would not reach the recorder
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     report = suite()
     assert report.ok and report.checked > 0
     assert checked == []
